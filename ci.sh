@@ -21,6 +21,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+# servebench is its own workspace compiled against `credence_server`'s
+# public API; a refactor that breaks it must fail here, not in a benchmark run.
+echo "==> servebench build + self-tests"
+cargo build --release --offline --manifest-path servebench/Cargo.toml
+cargo test --offline --manifest-path servebench/Cargo.toml
+
 echo "==> credence-serve smoke (REST /api/v1 + /metrics + deadline budget)"
 ./scripts/serve_smoke.sh
 

@@ -108,7 +108,10 @@ pub(crate) fn drive_search<R: Send>(
     evaluate: impl Fn(&Combo) -> R + Sync,
     mut commit: impl FnMut(Combo, R, usize) -> ControlFlow<()>,
 ) -> SearchStatus {
-    let threads = options.resolved_threads();
+    // A batch never holds more than `MAX_BATCH` candidates, so more threads
+    // than that could never be busy; clamping also keeps the batch-size
+    // arithmetic below from overflowing on absurd requests.
+    let threads = options.resolved_threads().min(MAX_BATCH);
     let mut committed = 0usize;
 
     if threads <= 1 {
@@ -362,6 +365,19 @@ mod tests {
                 None,
             );
             assert_eq!(parallel, serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn huge_thread_counts_commit_like_serial() {
+        let serial = collect_with(&EvalOptions::exact_serial(), None);
+        for threads in [usize::MAX, 1 << 63, MAX_BATCH + 1] {
+            let options = EvalOptions {
+                threads,
+                parallel_threshold: usize::MAX,
+                force_exact: false,
+            };
+            assert_eq!(collect_with(&options, None), serial, "threads={threads}");
         }
     }
 

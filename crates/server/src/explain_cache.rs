@@ -5,11 +5,12 @@
 //! recur constantly, and every one used to re-run the full candidate
 //! search. This module shares that work across requests:
 //!
-//! * **Content addressing.** Keys are built by the service layer from the
-//!   *parsed* request — `(endpoint, corpus, generation, canonicalized
-//!   fields)` — so semantically identical requests hash equal regardless
-//!   of field order or spelled-out defaults, and a corpus publish bumps
-//!   the generation and thereby invalidates without any sweeping.
+//! * **Content addressing.** Keys are derived from the *parsed* request
+//!   (`JobRequest::cache_key` in [`crate::families`]) — `(endpoint,
+//!   corpus, generation, every field the parser read)` — so semantically
+//!   identical requests hash equal regardless of field order or
+//!   spelled-out defaults, and a corpus publish bumps the generation and
+//!   thereby invalidates without any sweeping.
 //! * **Single flight.** When N identical requests arrive concurrently,
 //!   one leader computes and N−1 waiters block on its in-flight slot and
 //!   receive a clone of the same payload. A waiter's own deadline bounds

@@ -560,7 +560,7 @@ fn worker_loop(state: &'static AppState) {
     let metrics = state.metrics();
     while let Some((id, request, snapshot)) = runner.claim(metrics) {
         let started = Instant::now();
-        let response = crate::service::execute_job(state, &snapshot, &request);
+        let response = crate::families::serve(state, &snapshot, &request);
         let execution_us = started.elapsed().as_micros() as u64;
         // Release the pinned generation before storing the result: once the
         // payload is durable the snapshot no longer needs to stay alive.
@@ -601,7 +601,8 @@ fn job_outcome(response: &Response) -> (JobState, Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::requests::{JobSubmitRequest, SentenceRemovalRequest};
+    use crate::families::FAMILIES;
+    use crate::requests::JobSubmitRequest;
     use credence_core::EngineConfig;
     use credence_index::Document;
 
@@ -654,7 +655,7 @@ mod tests {
     }
 
     fn quick_request(body: &str) -> JobRequest {
-        JobRequest::SentenceRemoval(SentenceRemovalRequest::parse(&parse(body).unwrap()).unwrap())
+        FAMILIES[0].parse(&parse(body).unwrap()).unwrap()
     }
 
     /// A sentence-removal search over the 48-sentence doc that runs for
@@ -672,7 +673,7 @@ mod tests {
     fn job_payload_matches_the_synchronous_response() {
         let state = state_with(quick_docs(), JobsConfig::default());
         let request = quick_request(r#"{"query": "covid outbreak", "k": 2, "doc": 1, "n": 1}"#);
-        let sync = crate::service::execute_job(state, &state.default_snapshot(), &request);
+        let sync = crate::families::serve(state, &state.default_snapshot(), &request);
         let SubmitOutcome::Accepted(id) =
             state
                 .jobs()

@@ -7,8 +7,11 @@
 //!
 //! * [`http`] — request parsing and response serialisation,
 //! * [`requests`] — typed per-endpoint request structs parsed from JSON
-//!   in one place (all invalid fields reported at once, unknown fields
-//!   rejected),
+//!   in one place (all invalid fields reported at once, every field the
+//!   parser never read rejected, every field it read recorded for keying),
+//! * [`families`] — the cacheable, job-able explanation families, one row
+//!   each in [`families::FAMILIES`], with the shared handler, the
+//!   explanation-cache front and its self-derived key,
 //! * [`service`] — the endpoint handlers mapping the typed requests onto
 //!   [`credence_core::CredenceEngine`] calls through a single route
 //!   table,
@@ -62,11 +65,21 @@
 //!
 //! Errors use one envelope, `{"error": {"code", "message", ...}}`, with
 //! the stable codes from [`credence_core::ExplainError::code`].
+//!
+//! ## Adding an explanation family
+//!
+//! One row in [`families::FAMILIES`] — route path, metrics/cache label, job
+//! name, request parser, `run` function — plus the request struct (with
+//! `corpus` and `controls` fields and `family_request!`) and the `run`
+//! function it names. The route table, the synchronous handler, the cache
+//! front and key, job submission and execution, the `/metrics` labels and
+//! the `GET /api/v1` index all follow from the row.
 
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod explain_cache;
+pub mod families;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
@@ -77,10 +90,9 @@ pub mod service;
 
 pub use client::{FailureKind, FanoutError, WireResponse};
 pub use explain_cache::{ExplainCache, ExplainCacheConfig};
+pub use families::feature_attribution_payload;
 pub use jobs::{JobRunner, JobState, JobsConfig};
 pub use metrics::Metrics;
 pub use router::{RouterConfig, RouterState};
 pub use server::{App, Server, ServerHandle, ServerOptions};
-pub use service::{
-    feature_attribution_payload, handle_request, AppState, RankerChoice, API_PREFIX,
-};
+pub use service::{handle_request, AppState, RankerChoice, API_PREFIX};

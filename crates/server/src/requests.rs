@@ -3,17 +3,26 @@
 //! Every `POST` endpoint has a request struct (`SentenceRemovalRequest`,
 //! `RankRequest`, …) with a `parse` constructor that reads the JSON body in
 //! one place. Parsing is *total*: every invalid field is recorded (not just
-//! the first), unknown fields are rejected by name, and the caller receives
-//! either the fully-validated struct or the complete list of
-//! [`FieldError`]s to fold into one `invalid_field` error envelope.
+//! the first), every key the parser never read is rejected by name, and the
+//! caller receives either the fully-validated struct or the complete list
+//! of [`FieldError`]s to fold into one `invalid_field` error envelope.
+//!
+//! Parsing is also *self-keying*: [`FieldParser`] records every key it
+//! reads together with its effective (default-filled) value, and that
+//! record is what the explanation cache keys a request by (see
+//! [`crate::families`]).
 //!
 //! The shared search controls (`eval_*`, `deadline_ms`, `max_evals`,
 //! `max_size`, `max_candidates`) parse into [`SearchControls`]; the
 //! deadline starts ticking at parse time, i.e. from request arrival.
 
+use std::fmt::{self, Write};
+
 use credence_core::{Budget, EvalOptions, SearchBudget, SearchStrategy};
 use credence_index::{Document, PartitionSpec};
 use credence_json::Value;
+
+use crate::families::{Family, Runnable, FAMILIES};
 
 /// The corpus served when a request does not name one — the corpus built
 /// from the documents the process was started with, preserving the
@@ -38,14 +47,137 @@ impl FieldError {
     }
 }
 
+/// Every key a [`FieldParser`] read, in read order, with its effective
+/// (default-filled) value in canonical text form: strings length-prefixed,
+/// integers in decimal, `f64` by its bits, absent optionals `null`.
+#[derive(Debug)]
+pub struct Fields {
+    /// `(key, end)`: the key's value is `text[previous end..end]`.
+    entries: Vec<(&'static str, usize)>,
+    text: String,
+}
+
+impl Fields {
+    /// Each key read, with its canonical value, in read order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, &str)> {
+        let mut start = 0;
+        self.entries.iter().map(move |&(key, end)| {
+            let value = &self.text[start..end];
+            start = end;
+            (key, value)
+        })
+    }
+
+    /// Total length of the canonical values.
+    pub(crate) fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
+    fn record(&mut self, key: &'static str, write: impl FnOnce(&mut String)) {
+        write(&mut self.text);
+        self.entries.push((key, self.text.len()));
+    }
+
+    fn contains(&self, key: &str) -> bool {
+        self.entries.iter().any(|&(read, _)| read == key)
+    }
+}
+
+/// Append `n` in decimal: the parser records every integer it reads, so
+/// this skips the formatting machinery.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| d as char));
+}
+
+/// A JSON field type [`FieldParser`] can read.
+pub trait FieldType: Sized {
+    /// The noun in the missing-required-field message.
+    const KIND: &'static str;
+    /// The message for a present value of the wrong type.
+    const INVALID: &'static str;
+    /// Convert a present JSON value, `None` when it does not fit.
+    fn from_json(value: &Value) -> Option<Self>;
+    /// Append the canonical text recorded in [`Fields`].
+    fn write_canonical(&self, out: &mut String);
+}
+
+impl FieldType for String {
+    const KIND: &'static str = "string";
+    const INVALID: &'static str = "must be a string";
+    fn from_json(value: &Value) -> Option<Self> {
+        value.as_str().map(str::to_string)
+    }
+    fn write_canonical(&self, out: &mut String) {
+        push_decimal(out, self.len() as u64);
+        out.push(':');
+        out.push_str(self);
+    }
+}
+
+impl FieldType for u64 {
+    const KIND: &'static str = "integer";
+    const INVALID: &'static str = "must be a non-negative integer";
+    fn from_json(value: &Value) -> Option<Self> {
+        value.as_u64()
+    }
+    fn write_canonical(&self, out: &mut String) {
+        push_decimal(out, *self);
+    }
+}
+
+impl FieldType for usize {
+    const KIND: &'static str = "integer";
+    const INVALID: &'static str = "must be a non-negative integer";
+    fn from_json(value: &Value) -> Option<Self> {
+        value.as_u64().map(|n| n as usize)
+    }
+    fn write_canonical(&self, out: &mut String) {
+        push_decimal(out, *self as u64);
+    }
+}
+
+impl FieldType for f64 {
+    const KIND: &'static str = "number";
+    const INVALID: &'static str = "must be a finite non-negative number";
+    fn from_json(value: &Value) -> Option<Self> {
+        value.as_f64().filter(|n| n.is_finite() && *n >= 0.0)
+    }
+    fn write_canonical(&self, out: &mut String) {
+        let _ = write!(out, "{:#x}", self.to_bits());
+    }
+}
+
+impl FieldType for bool {
+    const KIND: &'static str = "boolean";
+    const INVALID: &'static str = "must be a boolean";
+    fn from_json(value: &Value) -> Option<Self> {
+        value.as_bool()
+    }
+    fn write_canonical(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
 /// Accumulating field reader over a JSON object body.
 ///
 /// Getter methods record an error and return a placeholder on failure, so a
-/// handler can read every field before deciding; [`FieldParser::finish`]
-/// adds unknown-field errors and returns the verdict.
+/// handler can read every field before deciding; each also records the key
+/// as read. [`FieldParser::finish`] rejects every key never read and
+/// returns the verdict.
 pub struct FieldParser<'v> {
     body: &'v Value,
     errors: Vec<FieldError>,
+    fields: Fields,
 }
 
 impl<'v> FieldParser<'v> {
@@ -55,122 +187,89 @@ impl<'v> FieldParser<'v> {
         Self {
             body,
             errors: Vec::new(),
+            fields: Fields {
+                entries: Vec::with_capacity(16),
+                text: String::with_capacity(64),
+            },
         }
     }
 
-    /// A required string field.
-    pub fn require_str(&mut self, key: &str) -> String {
-        match self.body.get(key) {
-            Some(v) => match v.as_str() {
-                Some(s) => s.to_string(),
-                None => {
-                    self.errors.push(FieldError::new(key, "must be a string"));
-                    String::new()
-                }
-            },
-            None => {
-                self.errors
-                    .push(FieldError::new(key, "missing required string field"));
-                String::new()
+    /// Run `read` over `body`, then [`finish`](Self::finish): the value
+    /// `read` built and every field it read, or all field errors at once.
+    pub fn parse<T>(
+        body: &'v Value,
+        read: impl FnOnce(&mut Self) -> T,
+    ) -> Result<(T, Fields), Vec<FieldError>> {
+        let mut p = Self::new(body);
+        let out = read(&mut p);
+        p.finish().map(|fields| (out, fields))
+    }
+
+    /// `key`'s value: `Ok(None)` when absent, `Err(())` (with the error
+    /// recorded) when present but not a `T`.
+    fn lookup<T: FieldType>(&mut self, key: &str) -> Result<Option<T>, ()> {
+        let body = self.body;
+        match body.get(key) {
+            None => Ok(None),
+            Some(v) => T::from_json(v)
+                .map(Some)
+                .ok_or_else(|| self.reject(key, T::INVALID)),
+        }
+    }
+
+    /// A required field (`T`'s default stands in when missing or invalid).
+    pub fn require<T: FieldType + Default>(&mut self, key: &'static str) -> T {
+        let value = match self.lookup(key) {
+            Ok(Some(v)) => v,
+            Ok(None) => {
+                self.reject(key, format!("missing required {} field", T::KIND));
+                T::default()
             }
-        }
+            Err(()) => T::default(),
+        };
+        self.fields.record(key, |out| value.write_canonical(out));
+        value
     }
 
-    /// A required non-negative integer field.
-    pub fn require_usize(&mut self, key: &str) -> usize {
-        match self.body.get(key) {
-            Some(v) => match v.as_u64() {
-                Some(n) => n as usize,
-                None => {
-                    self.errors
-                        .push(FieldError::new(key, "must be a non-negative integer"));
-                    0
-                }
-            },
-            None => {
-                self.errors
-                    .push(FieldError::new(key, "missing required integer field"));
-                0
-            }
+    /// A required document id: a non-negative integer that fits a `u32`
+    /// [`DocId`](credence_index::DocId).
+    pub fn require_doc(&mut self, key: &'static str) -> usize {
+        let doc: usize = self.require(key);
+        if doc > u32::MAX as usize {
+            self.reject(key, "must be a document id (at most 4294967295)");
         }
+        doc
     }
 
-    /// An optional non-negative integer field with a default.
-    pub fn optional_usize(&mut self, key: &str, default: usize) -> usize {
-        match self.body.get(key) {
-            None => default,
-            Some(v) => match v.as_u64() {
-                Some(n) => n as usize,
-                None => {
-                    self.errors
-                        .push(FieldError::new(key, "must be a non-negative integer"));
-                    default
-                }
-            },
-        }
+    /// An optional field with a default.
+    pub fn optional<T: FieldType>(&mut self, key: &'static str, default: T) -> T {
+        let value = self.lookup(key).ok().flatten().unwrap_or(default);
+        self.fields.record(key, |out| value.write_canonical(out));
+        value
     }
 
-    /// An optional non-negative integer field with no default.
-    pub fn optional_u64(&mut self, key: &str) -> Option<u64> {
-        match self.body.get(key) {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Some(n) => Some(n),
-                None => {
-                    self.errors
-                        .push(FieldError::new(key, "must be a non-negative integer"));
-                    None
-                }
-            },
-        }
+    /// An optional field with no default.
+    pub fn maybe<T: FieldType>(&mut self, key: &'static str) -> Option<T> {
+        let value: Option<T> = self.lookup(key).ok().flatten();
+        self.fields.record(key, |out| match &value {
+            Some(v) => v.write_canonical(out),
+            None => out.push_str("null"),
+        });
+        value
     }
 
-    /// An optional finite non-negative number field with a default.
-    pub fn optional_f64(&mut self, key: &str, default: f64) -> f64 {
-        match self.body.get(key) {
-            None => default,
-            Some(v) => match v.as_f64() {
-                Some(n) if n.is_finite() && n >= 0.0 => n,
-                _ => {
-                    self.errors
-                        .push(FieldError::new(key, "must be a finite non-negative number"));
-                    default
-                }
-            },
-        }
-    }
-
-    /// An optional boolean field with a default.
-    pub fn optional_bool(&mut self, key: &str, default: bool) -> bool {
-        match self.body.get(key) {
-            None => default,
-            Some(v) => match v.as_bool() {
-                Some(b) => b,
-                None => {
-                    self.errors.push(FieldError::new(key, "must be a boolean"));
-                    default
-                }
-            },
-        }
-    }
-
-    /// An optional string field.
-    pub fn optional_str(&mut self, key: &str) -> Option<String> {
-        match self.body.get(key) {
-            None => None,
-            Some(v) => match v.as_str() {
-                Some(s) => Some(s.to_string()),
-                None => {
-                    self.errors.push(FieldError::new(key, "must be a string"));
-                    None
-                }
-            },
-        }
+    /// The raw value under `key`, for fields the caller interprets itself
+    /// (recorded as read, with no canonical value).
+    pub fn value(&mut self, key: &'static str) -> Option<&'v Value> {
+        self.fields.record(key, |_| {});
+        self.body.get(key)
     }
 
     /// Whether the body carries `key` at all (for both-or-neither checks).
-    pub fn has(&self, key: &str) -> bool {
-        self.body.get(key).is_some()
+    pub fn has(&mut self, key: &'static str) -> bool {
+        let present = self.body.get(key).is_some();
+        self.fields.record(key, |out| present.write_canonical(out));
+        present
     }
 
     /// Record an error against `field` from handler-level validation.
@@ -178,33 +277,25 @@ impl<'v> FieldParser<'v> {
         self.errors.push(FieldError::new(field, message));
     }
 
-    /// Reject fields outside `known` and return all accumulated errors
-    /// (empty = the request is valid). Unknown fields report in key order —
-    /// the body is a `BTreeMap`, so the order is deterministic.
-    pub fn finish(mut self, known: &[&str]) -> Vec<FieldError> {
+    /// Reject every key no getter read, then return the record of read
+    /// fields, or all accumulated errors. Unknown fields report in key
+    /// order — the body is a `BTreeMap`, so the order is deterministic.
+    pub fn finish(mut self) -> Result<Fields, Vec<FieldError>> {
         if let Some(object) = self.body.as_object() {
             for key in object.keys() {
-                if !known.contains(&key.as_str()) {
+                if !self.fields.contains(key) {
                     self.errors
                         .push(FieldError::new(key, "unknown field (check for typos)"));
                 }
             }
         }
-        self.errors
+        if self.errors.is_empty() {
+            Ok(self.fields)
+        } else {
+            Err(self.errors)
+        }
     }
 }
-
-/// The search-control fields shared by the four explainer endpoints.
-pub const SEARCH_CONTROL_FIELDS: &[&str] = &[
-    "eval_threads",
-    "eval_parallel_threshold",
-    "eval_exact",
-    "deadline_ms",
-    "max_evals",
-    "max_size",
-    "max_candidates",
-    "explain_cache_bypass",
-];
 
 /// Parsed search controls: evaluation-engine knobs, enumeration limits,
 /// and the request-lifecycle [`Budget`].
@@ -228,44 +319,32 @@ impl SearchControls {
     /// Read the shared control fields off `p` (absent fields keep their
     /// defaults).
     pub fn parse(p: &mut FieldParser<'_>) -> Self {
-        let mut eval = EvalOptions::default();
-        if let Some(threads) = p.optional_u64("eval_threads") {
-            eval.threads = threads as usize;
-        }
-        if let Some(threshold) = p.optional_u64("eval_parallel_threshold") {
-            eval.parallel_threshold = threshold as usize;
-        }
-        eval.force_exact = p.optional_bool("eval_exact", eval.force_exact);
-
-        let mut search = SearchBudget::default();
-        if let Some(size) = p.optional_u64("max_size") {
-            search.max_size = size as usize;
-        }
-        if let Some(candidates) = p.optional_u64("max_candidates") {
-            search.max_candidates = candidates as usize;
-        }
-
+        let (eval, search) = (EvalOptions::default(), SearchBudget::default());
+        let eval = EvalOptions {
+            threads: p.optional("eval_threads", eval.threads),
+            parallel_threshold: p.optional("eval_parallel_threshold", eval.parallel_threshold),
+            force_exact: p.optional("eval_exact", eval.force_exact),
+        };
+        let search = SearchBudget {
+            max_size: p.optional("max_size", search.max_size),
+            max_candidates: p.optional("max_candidates", search.max_candidates),
+            ..search
+        };
         let mut lifecycle = Budget::unlimited();
-        if let Some(ms) = p.optional_u64("deadline_ms") {
+        if let Some(ms) = p.maybe("deadline_ms") {
             lifecycle = lifecycle.with_deadline_ms(ms);
         }
-        if let Some(evals) = p.optional_u64("max_evals") {
-            lifecycle = lifecycle.with_max_evals(evals as usize);
+        if let Some(evals) = p.maybe("max_evals") {
+            lifecycle = lifecycle.with_max_evals(evals);
         }
-
-        let cache_bypass = p.optional_bool("explain_cache_bypass", false);
-
         Self {
             eval,
             search,
             lifecycle,
-            cache_bypass,
+            cache_bypass: p.optional("explain_cache_bypass", false),
         }
     }
 }
-
-/// The corpus-selector fields accepted by every request.
-pub const CORPUS_FIELDS: &[&str] = &["corpus", "generation"];
 
 /// Corpus selector carried by every request: which registered corpus to
 /// serve from, and optionally which pinned generation. Absent fields mean
@@ -290,40 +369,14 @@ impl Default for CorpusRef {
 impl CorpusRef {
     /// Read the `corpus` and `generation` fields off `p`.
     pub fn parse(p: &mut FieldParser<'_>) -> Self {
-        let corpus = match p.optional_str("corpus") {
-            Some(name) if name.is_empty() => {
-                p.reject("corpus", "must be a non-empty string");
-                DEFAULT_CORPUS.to_string()
-            }
-            Some(name) => name,
-            None => DEFAULT_CORPUS.to_string(),
-        };
-        let generation = p.optional_u64("generation");
+        let mut corpus = p.optional("corpus", DEFAULT_CORPUS.to_string());
+        if corpus.is_empty() {
+            p.reject("corpus", "must be a non-empty string");
+            corpus = DEFAULT_CORPUS.to_string();
+        }
+        let generation = p.maybe("generation");
         Self { corpus, generation }
     }
-}
-
-macro_rules! known {
-    ($($field:literal),* $(,)?) => {
-        {
-            const OWN: &[&str] = &[$($field),*];
-            let mut all = OWN.to_vec();
-            all.extend_from_slice(SEARCH_CONTROL_FIELDS);
-            all.extend_from_slice(CORPUS_FIELDS);
-            all
-        }
-    };
-}
-
-macro_rules! known_with_corpus {
-    ($($field:literal),* $(,)?) => {
-        {
-            const OWN: &[&str] = &[$($field),*];
-            let mut all = OWN.to_vec();
-            all.extend_from_slice(CORPUS_FIELDS);
-            all
-        }
-    };
 }
 
 /// `POST /api/v1/rank`.
@@ -351,7 +404,7 @@ impl RankRequest {
     /// Parse and fully validate the request body.
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
-        let search_strategy = match p.optional_str("search_strategy") {
+        let search_strategy = match p.maybe::<String>("search_strategy") {
             None => None,
             Some(s) => match SearchStrategy::parse(&s) {
                 Some(strategy) => Some(strategy),
@@ -365,8 +418,8 @@ impl RankRequest {
             },
         };
         let partition = match (
-            p.optional_u64("partition_index"),
-            p.optional_u64("partition_count"),
+            p.maybe::<u64>("partition_index"),
+            p.maybe::<u64>("partition_count"),
         ) {
             (None, None) => None,
             (Some(index), Some(count)) => {
@@ -390,27 +443,51 @@ impl RankRequest {
             }
         };
         let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
+            query: p.require("query"),
+            k: p.require("k"),
             search_strategy,
-            search_shards: p.optional_u64("search_shards").map(|s| s as usize),
+            search_shards: p.maybe("search_shards"),
             partition,
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus![
-            "query",
-            "k",
-            "search_strategy",
-            "search_shards",
-            "partition_index",
-            "partition_count",
-        ]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
+}
+
+/// The request of a family in [`FAMILIES`]: what the shared handler, the
+/// cache front and the job queue read off any family's parsed request.
+pub(crate) trait FamilyRequest: fmt::Debug + Send + Sync + 'static {
+    /// The corpus selector.
+    fn corpus(&self) -> &CorpusRef;
+    /// The shared search controls.
+    fn controls(&self) -> &SearchControls;
+    /// The shared search controls, for the job queue's cancel flag.
+    fn controls_mut(&mut self) -> &mut SearchControls;
+}
+
+/// Implement [`FamilyRequest`] for a request struct with `corpus` and
+/// `controls` fields, and give it the public `parse` every request has.
+macro_rules! family_request {
+    ($request:ty) => {
+        impl $request {
+            /// Parse and fully validate the request body.
+            pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
+                FieldParser::parse(body, Self::read).map(|(request, _)| request)
+            }
+        }
+
+        impl FamilyRequest for $request {
+            fn corpus(&self) -> &CorpusRef {
+                &self.corpus
+            }
+            fn controls(&self) -> &SearchControls {
+                &self.controls
+            }
+            fn controls_mut(&mut self) -> &mut SearchControls {
+                &mut self.controls
+            }
+        }
+    };
 }
 
 /// `POST /api/v1/explain/sentence-removal`.
@@ -430,23 +507,17 @@ pub struct SentenceRemovalRequest {
     pub controls: SearchControls,
 }
 
+family_request!(SentenceRemovalRequest);
+
 impl SentenceRemovalRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
+    pub(crate) fn read(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            n: p.optional("n", 1),
+            corpus: CorpusRef::parse(p),
+            controls: SearchControls::parse(p),
         }
     }
 }
@@ -470,24 +541,18 @@ pub struct QueryAugmentationRequest {
     pub controls: SearchControls,
 }
 
+family_request!(QueryAugmentationRequest);
+
 impl QueryAugmentationRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            threshold: p.optional_usize("threshold", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n", "threshold"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
+    pub(crate) fn read(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            n: p.optional("n", 1),
+            threshold: p.optional("threshold", 1),
+            corpus: CorpusRef::parse(p),
+            controls: SearchControls::parse(p),
         }
     }
 }
@@ -509,23 +574,17 @@ pub struct QueryReductionRequest {
     pub controls: SearchControls,
 }
 
+family_request!(QueryReductionRequest);
+
 impl QueryReductionRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
+    pub(crate) fn read(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            n: p.optional("n", 1),
+            corpus: CorpusRef::parse(p),
+            controls: SearchControls::parse(p),
         }
     }
 }
@@ -547,23 +606,17 @@ pub struct TermRemovalRequest {
     pub controls: SearchControls,
 }
 
+family_request!(TermRemovalRequest);
+
 impl TermRemovalRequest {
-    /// Parse and fully validate the request body.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
+    pub(crate) fn read(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            n: p.optional("n", 1),
+            corpus: CorpusRef::parse(p),
+            controls: SearchControls::parse(p),
         }
     }
 }
@@ -591,29 +644,21 @@ pub struct FeatureAttributionRequest {
     pub controls: SearchControls,
 }
 
+family_request!(FeatureAttributionRequest);
+
 impl FeatureAttributionRequest {
-    /// Parse and fully validate the request body. Defaults mirror
-    /// `credence_core::lime::FeatureAttributionConfig::default()`.
-    pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
-        let mut p = FieldParser::new(body);
-        let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            samples: p.optional_usize("samples", 256),
-            seed: p.optional_u64("seed").unwrap_or(42),
-            top_m: p.optional_usize("top_m", 10),
-            lambda: p.optional_f64("lambda", 1e-3),
-            corpus: CorpusRef::parse(&mut p),
-            controls: SearchControls::parse(&mut p),
-        };
-        let errors = p.finish(&known![
-            "query", "k", "doc", "samples", "seed", "top_m", "lambda"
-        ]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
+    /// Defaults mirror `credence_core::lime::FeatureAttributionConfig::default()`.
+    pub(crate) fn read(p: &mut FieldParser<'_>) -> Self {
+        Self {
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            samples: p.optional("samples", 256),
+            seed: p.optional("seed", 42),
+            top_m: p.optional("top_m", 10),
+            lambda: p.optional("lambda", 1e-3),
+            corpus: CorpusRef::parse(p),
+            controls: SearchControls::parse(p),
         }
     }
 }
@@ -638,18 +683,13 @@ impl Doc2VecNearestRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            n: p.optional("n", 1),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "k", "doc", "n"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
@@ -675,19 +715,14 @@ impl CosineSampledRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            n: p.optional_usize("n", 1),
-            samples: p.optional_u64("samples").map(|s| s as usize),
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            n: p.optional("n", 1),
+            samples: p.maybe("samples"),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "k", "doc", "n", "samples"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
@@ -709,17 +744,12 @@ impl TopicsRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            num_topics: p.optional_usize("num_topics", 3),
+            query: p.require("query"),
+            k: p.require("k"),
+            num_topics: p.optional("num_topics", 3),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "k", "num_topics"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
@@ -741,17 +771,12 @@ impl SnippetRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let out = Self {
-            query: p.require_str("query"),
-            doc: p.require_usize("doc"),
-            window: p.optional_usize("window", 24),
+            query: p.require("query"),
+            doc: p.require_doc("doc"),
+            window: p.optional("window", 24),
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["query", "doc", "window"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
@@ -772,15 +797,11 @@ impl NearestToTextRequest {
     /// Parse and fully validate the request body.
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
-        let text = p.require_str("text");
-        let n = p.optional_usize("n", 3);
+        let text = p.require("text");
+        let n = p.optional("n", 3);
         let exclude = match (p.has("query"), p.has("k")) {
             (false, false) => None,
-            (true, true) => {
-                let query = p.require_str("query");
-                let k = p.require_usize("k");
-                Some((query, k))
-            }
+            (true, true) => Some((p.require("query"), p.require("k"))),
             (true, false) => {
                 p.reject("k", "required whenever 'query' is present");
                 None
@@ -796,12 +817,7 @@ impl NearestToTextRequest {
             exclude,
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus!["text", "n", "query", "k"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
@@ -828,98 +844,61 @@ impl RerankRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let mut lifecycle = Budget::unlimited();
-        if let Some(ms) = p.optional_u64("deadline_ms") {
+        if let Some(ms) = p.maybe("deadline_ms") {
             lifecycle = lifecycle.with_deadline_ms(ms);
         }
         let out = Self {
-            query: p.require_str("query"),
-            k: p.require_usize("k"),
-            doc: p.require_usize("doc"),
-            body: p.require_str("body"),
+            query: p.require("query"),
+            k: p.require("k"),
+            doc: p.require_doc("doc"),
+            body: p.require("body"),
             lifecycle,
             corpus: CorpusRef::parse(&mut p),
         };
-        let errors = p.finish(&known_with_corpus![
-            "query",
-            "k",
-            "doc",
-            "body",
-            "deadline_ms"
-        ]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
-/// An explanation request admitted into the async job queue: one of the
-/// five explainers, wrapping the exact request struct the synchronous
-/// endpoint parses. Executing a `JobRequest` therefore goes through the
-/// same handler and produces the same payload bit-for-bit.
-#[derive(Debug, Clone)]
-pub enum JobRequest {
-    /// An `explain/sentence-removal` search.
-    SentenceRemoval(SentenceRemovalRequest),
-    /// An `explain/query-augmentation` search.
-    QueryAugmentation(QueryAugmentationRequest),
-    /// An `explain/query-reduction` search.
-    QueryReduction(QueryReductionRequest),
-    /// An `explain/term-removal` search.
-    TermRemoval(TermRemovalRequest),
-    /// An `explain/feature_attribution` surrogate fit.
-    FeatureAttribution(FeatureAttributionRequest),
+/// A parsed request of one of the [`FAMILIES`], as admitted into the async
+/// job queue: it wraps the exact request struct the synchronous endpoint
+/// parses, together with the record of its fields, so executing it goes
+/// through the same cache front and produces the same payload bit-for-bit.
+pub struct JobRequest {
+    pub(crate) family: &'static Family,
+    pub(crate) fields: Fields,
+    pub(crate) request: Box<dyn Runnable>,
 }
 
 impl JobRequest {
-    /// The endpoint names accepted in a job submission's `endpoint` field.
-    pub const ENDPOINTS: [&'static str; 5] = [
-        "sentence-removal",
-        "query-augmentation",
-        "query-reduction",
-        "term-removal",
-        "feature_attribution",
-    ];
-
-    /// The endpoint name this job targets.
+    /// The job-submission name of this request's family.
     pub fn endpoint(&self) -> &'static str {
-        match self {
-            JobRequest::SentenceRemoval(_) => "sentence-removal",
-            JobRequest::QueryAugmentation(_) => "query-augmentation",
-            JobRequest::QueryReduction(_) => "query-reduction",
-            JobRequest::TermRemoval(_) => "term-removal",
-            JobRequest::FeatureAttribution(_) => "feature_attribution",
-        }
+        self.family.job
     }
 
     /// The request's lifecycle [`Budget`], for the job queue to install its
     /// cancel flag into.
     pub fn lifecycle_mut(&mut self) -> &mut Budget {
-        match self {
-            JobRequest::SentenceRemoval(r) => &mut r.controls.lifecycle,
-            JobRequest::QueryAugmentation(r) => &mut r.controls.lifecycle,
-            JobRequest::QueryReduction(r) => &mut r.controls.lifecycle,
-            JobRequest::TermRemoval(r) => &mut r.controls.lifecycle,
-            JobRequest::FeatureAttribution(r) => &mut r.controls.lifecycle,
-        }
+        &mut self.request.request_mut().controls_mut().lifecycle
     }
 
-    /// The corpus this job targets, for snapshot pinning at submit time.
+    /// The corpus this request targets, for snapshot resolution.
     pub fn corpus_ref(&self) -> &CorpusRef {
-        match self {
-            JobRequest::SentenceRemoval(r) => &r.corpus,
-            JobRequest::QueryAugmentation(r) => &r.corpus,
-            JobRequest::QueryReduction(r) => &r.corpus,
-            JobRequest::TermRemoval(r) => &r.corpus,
-            JobRequest::FeatureAttribution(r) => &r.corpus,
-        }
+        self.request.request().corpus()
+    }
+}
+
+impl fmt::Debug for JobRequest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JobRequest")
+            .field("endpoint", &self.family.job)
+            .field("request", self.request.request())
+            .finish()
     }
 }
 
 /// `POST /api/v1/jobs`: an `{endpoint, request}` envelope whose `request`
-/// object is parsed by the named endpoint's own request struct.
-#[derive(Debug, Clone)]
+/// object is parsed by the named family's own parser.
+#[derive(Debug)]
 pub struct JobSubmitRequest {
     /// The parsed explanation request to enqueue.
     pub request: JobRequest,
@@ -930,15 +909,13 @@ impl JobSubmitRequest {
     /// errors are reported with a `request.`-prefixed field path.
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
-        let endpoint = p.require_str("endpoint");
-        let known = JobRequest::ENDPOINTS.contains(&endpoint.as_str());
-        if body.get("endpoint").and_then(Value::as_str).is_some() && !known {
-            p.reject(
-                "endpoint",
-                format!("must be one of: {}", JobRequest::ENDPOINTS.join(", ")),
-            );
+        let endpoint: String = p.require("endpoint");
+        let family = FAMILIES.iter().find(|f| f.job == endpoint);
+        if family.is_none() && body.get("endpoint").and_then(Value::as_str).is_some() {
+            let names: Vec<&str> = FAMILIES.iter().map(|f| f.job).collect();
+            p.reject("endpoint", format!("must be one of: {}", names.join(", ")));
         }
-        let inner = match body.get("request") {
+        let inner = match p.value("request") {
             Some(v) if v.as_object().is_some() => Some(v),
             Some(_) => {
                 p.reject("request", "must be a JSON object");
@@ -949,39 +926,20 @@ impl JobSubmitRequest {
                 None
             }
         };
-        let request = match (known, inner) {
-            (true, Some(inner)) => {
-                let parsed =
-                    match endpoint.as_str() {
-                        "sentence-removal" => {
-                            SentenceRemovalRequest::parse(inner).map(JobRequest::SentenceRemoval)
-                        }
-                        "query-augmentation" => QueryAugmentationRequest::parse(inner)
-                            .map(JobRequest::QueryAugmentation),
-                        "query-reduction" => {
-                            QueryReductionRequest::parse(inner).map(JobRequest::QueryReduction)
-                        }
-                        "feature_attribution" => FeatureAttributionRequest::parse(inner)
-                            .map(JobRequest::FeatureAttribution),
-                        _ => TermRemovalRequest::parse(inner).map(JobRequest::TermRemoval),
-                    };
-                match parsed {
-                    Ok(request) => Some(request),
-                    Err(errors) => {
-                        for e in errors {
-                            p.reject(&format!("request.{}", e.field), e.message);
-                        }
-                        None
+        let request = match (family, inner) {
+            (Some(family), Some(inner)) => match family.parse(inner) {
+                Ok(request) => Some(request),
+                Err(errors) => {
+                    for e in errors {
+                        p.reject(&format!("request.{}", e.field), e.message);
                     }
+                    None
                 }
-            }
+            },
             _ => None,
         };
-        let errors = p.finish(&["endpoint", "request"]);
-        match (request, errors.is_empty()) {
-            (Some(request), true) => Ok(Self { request }),
-            (_, _) => Err(errors),
-        }
+        p.finish()?;
+        request.map(|request| Self { request }).ok_or_else(Vec::new)
     }
 }
 
@@ -994,18 +952,18 @@ fn parse_doc_object(p: &mut FieldParser<'_>, prefix: &str, item: &Value) -> Opti
     }
     let mut dp = FieldParser::new(item);
     let doc = Document::new(
-        dp.optional_str("name").unwrap_or_default(),
-        dp.optional_str("title").unwrap_or_default(),
-        dp.require_str("body"),
+        dp.optional("name", String::new()),
+        dp.optional("title", String::new()),
+        dp.require::<String>("body"),
     );
-    let errors = dp.finish(&["name", "title", "body"]);
-    if errors.is_empty() {
-        Some(doc)
-    } else {
-        for e in errors {
-            p.reject(&format!("{prefix}.{}", e.field), e.message);
+    match dp.finish() {
+        Ok(_) => Some(doc),
+        Err(errors) => {
+            for e in errors {
+                p.reject(&format!("{prefix}.{}", e.field), e.message);
+            }
+            None
         }
-        None
     }
 }
 
@@ -1021,7 +979,7 @@ impl CorpusPutRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let mut docs = Vec::new();
-        match body.get("docs") {
+        match p.value("docs") {
             Some(value) => match value.as_array() {
                 Some(items) => {
                     if items.is_empty() {
@@ -1046,12 +1004,7 @@ impl CorpusPutRequest {
             },
             None => p.reject("docs", "missing required array field"),
         }
-        let errors = p.finish(&["docs"]);
-        if errors.is_empty() {
-            Ok(Self { docs })
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| Self { docs })
     }
 }
 
@@ -1072,24 +1025,19 @@ impl DocAddRequest {
     /// Parse and fully validate the request body.
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
-        let name = p.require_str("name");
+        let name: String = p.require("name");
         if p.has("name") && name.is_empty() {
             p.reject("name", "must be a non-empty string");
         }
         let out = Self {
             doc: Document::new(
                 name,
-                p.optional_str("title").unwrap_or_default(),
-                p.require_str("body"),
+                p.optional("title", String::new()),
+                p.require::<String>("body"),
             ),
-            refresh: p.optional_bool("refresh", false),
+            refresh: p.optional("refresh", false),
         };
-        let errors = p.finish(&["name", "title", "body", "refresh"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
@@ -1110,16 +1058,11 @@ impl DocPutRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let out = Self {
-            title: p.optional_str("title").unwrap_or_default(),
-            body: p.require_str("body"),
-            refresh: p.optional_bool("refresh", false),
+            title: p.optional("title", String::new()),
+            body: p.require("body"),
+            refresh: p.optional("refresh", false),
         };
-        let errors = p.finish(&["title", "body", "refresh"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 
@@ -1136,14 +1079,9 @@ impl RefreshRequest {
     pub fn parse(body: &Value) -> Result<Self, Vec<FieldError>> {
         let mut p = FieldParser::new(body);
         let out = Self {
-            refresh: p.optional_bool("refresh", false),
+            refresh: p.optional("refresh", false),
         };
-        let errors = p.finish(&["refresh"]);
-        if errors.is_empty() {
-            Ok(out)
-        } else {
-            Err(errors)
-        }
+        p.finish().map(|_| out)
     }
 }
 

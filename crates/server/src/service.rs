@@ -1,11 +1,12 @@
 //! Endpoint handlers: JSON in, JSON out, engine in the middle.
 //!
-//! Routing is table-driven: every endpoint registers once in [`ROUTES`]
-//! with its canonical `/api/v1/...` path, and the dispatcher also serves
-//! each API route at its historical unversioned path as a **deprecated
-//! alias** that answers with a `Deprecation: true` header and a `Link` to
-//! the successor. Request bodies parse through the typed structs in
-//! [`crate::requests`] (all invalid fields reported at once, unknown
+//! Routing is table-driven: every endpoint registers once in the route
+//! table (the explanation families once each, from [`FAMILIES`]) with its
+//! canonical `/api/v1/...` path, and the dispatcher also serves each API
+//! route at its historical unversioned path as a **deprecated alias** that
+//! answers with a `Deprecation: true` header and a `Link` to the
+//! successor. Request bodies parse through the typed structs in
+//! [`crate::requests`] (all invalid fields reported at once, unread
 //! fields rejected), errors serialise through one envelope —
 //! `{"error": {"code", "message", ...}}` with the stable codes from
 //! [`ExplainError::code`] — and every request is counted and timed in the
@@ -18,14 +19,13 @@
 //! remove corpora at runtime, and every 2xx body carries a top-level
 //! `corpus` + `generation` envelope naming the snapshot that answered.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use credence_core::{
     Corpus, CorpusInfo, CorpusRegistry, CorpusSnapshot, EngineConfig, ExplainError,
-    FeatureAttributionConfig, FeatureAttributionResult, QueryAugmentationConfig,
-    QueryReductionConfig, RankerFactory, SentenceRemovalConfig, SnapshotError, TermRemovalConfig,
+    FeatureAttributionResult, RankerFactory, SnapshotError,
 };
 use credence_index::{Bm25Params, DeltaOp, DocId, Document, InvertedIndex};
 use credence_json::{obj, parse, to_string, Value};
@@ -36,15 +36,14 @@ use credence_rank::{
 use credence_text::Analyzer;
 
 use crate::explain_cache::{ExplainCache, ExplainCacheConfig};
+use crate::families::{Family, FAMILIES};
 use crate::http::{Request, Response};
 use crate::jobs::{CancelOutcome, JobRunner, JobView, JobsConfig, SubmitOutcome};
 use crate::metrics::Metrics;
 use crate::requests::{
     CorpusPutRequest, CorpusRef, CosineSampledRequest, Doc2VecNearestRequest, DocAddRequest,
-    DocPutRequest, FeatureAttributionRequest, FieldError, JobRequest, JobSubmitRequest,
-    NearestToTextRequest, QueryAugmentationRequest, QueryReductionRequest, RankRequest,
-    RefreshRequest, RerankRequest, SearchControls, SentenceRemovalRequest, SnippetRequest,
-    TermRemovalRequest, TopicsRequest, DEFAULT_CORPUS,
+    DocPutRequest, FieldError, JobSubmitRequest, NearestToTextRequest, RankRequest, RefreshRequest,
+    RerankRequest, SnippetRequest, TopicsRequest, DEFAULT_CORPUS,
 };
 
 /// The API version prefix canonical routes live under.
@@ -63,7 +62,7 @@ pub struct AppState {
     metrics: Metrics,
     jobs: JobRunner,
     explain_cache: ExplainCache,
-    lime: LimeStats,
+    pub(crate) lime: LimeStats,
     log_requests: AtomicBool,
 }
 
@@ -73,16 +72,16 @@ pub struct AppState {
 /// attributions they returned, budget-limited partial fits, and the summed
 /// fidelity (in millionths, for the average gauge).
 #[derive(Default)]
-struct LimeStats {
-    fits: std::sync::atomic::AtomicU64,
-    samples: std::sync::atomic::AtomicU64,
-    attributions: std::sync::atomic::AtomicU64,
-    partials: std::sync::atomic::AtomicU64,
-    fidelity_micros: std::sync::atomic::AtomicU64,
+pub(crate) struct LimeStats {
+    fits: AtomicU64,
+    samples: AtomicU64,
+    attributions: AtomicU64,
+    partials: AtomicU64,
+    fidelity_micros: AtomicU64,
 }
 
 impl LimeStats {
-    fn record(&self, result: &FeatureAttributionResult) {
+    pub(crate) fn record(&self, result: &FeatureAttributionResult) {
         self.fits.fetch_add(1, Ordering::Relaxed);
         self.samples
             .fetch_add(result.samples_evaluated as u64, Ordering::Relaxed);
@@ -198,7 +197,7 @@ impl AppState {
             registry,
             factory,
             config,
-            metrics: Metrics::new(ENDPOINT_LABELS),
+            metrics: Metrics::new(endpoint_labels()),
             jobs: JobRunner::new(jobs),
             explain_cache: ExplainCache::new(cache),
             lime: LimeStats::default(),
@@ -274,33 +273,39 @@ impl crate::server::App for AppState {
     }
 }
 
-/// Endpoint labels for the metrics registry — one per route plus the
-/// `"other"` catch-all (unmatched paths, bad methods).
-const ENDPOINT_LABELS: &[&str] = &[
-    "ui",
-    "health",
-    "metrics",
-    "corpus",
-    "doc",
-    "rank",
-    "sentence_removal",
-    "query_augmentation",
-    "query_reduction",
-    "term_removal",
-    "feature_attribution",
-    "doc2vec_nearest",
-    "cosine_sampled",
-    "nearest_to_text",
-    "topics",
-    "snippet",
-    "rerank",
-    "jobs",
-    "corpora",
-    "api_index",
-    "other",
-];
+/// Endpoint labels for the metrics registry: every route table label in
+/// first-appearance order, then the discovery index and the `"other"`
+/// catch-all (unmatched paths, bad methods).
+fn endpoint_labels() -> &'static [&'static str] {
+    static LABELS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    LABELS.get_or_init(|| {
+        let mut labels = Vec::new();
+        for route in routes() {
+            if !labels.contains(&route.endpoint) {
+                labels.push(route.endpoint);
+            }
+        }
+        labels.extend(["api_index", "other"]);
+        labels
+    })
+}
+
+/// What a handler answers: the response, or a ready error envelope.
+pub(crate) type Reply = Result<Response, Response>;
+
+type HandlerFn = fn(&AppState, &Request, &str) -> Reply;
+
+/// What serves a route.
+#[derive(Clone, Copy)]
+enum Handler {
+    /// A plain handler, passed the path tail after a prefix match.
+    Fn(HandlerFn),
+    /// An explanation family's synchronous endpoint.
+    Family(&'static Family),
+}
 
 /// One row of the route table.
+#[derive(Clone, Copy)]
 struct Route {
     method: &'static str,
     /// Unversioned path (the canonical form prepends [`API_PREFIX`]).
@@ -313,221 +318,106 @@ struct Route {
     versioned: bool,
     /// Metrics label.
     endpoint: &'static str,
-    handler: fn(&AppState, &Request, &str) -> Response,
+    handler: Handler,
 }
 
-/// The single route table: every handler registers exactly once and is
-/// reachable both under [`API_PREFIX`] and at its unversioned alias.
-const ROUTES: &[Route] = &[
-    Route {
-        method: "GET",
-        path: "/",
-        prefix: false,
-        versioned: false,
-        endpoint: "ui",
-        handler: ui,
-    },
-    Route {
-        method: "GET",
-        path: "/index.html",
-        prefix: false,
-        versioned: false,
-        endpoint: "ui",
-        handler: ui,
-    },
-    Route {
-        method: "GET",
-        path: "/health",
-        prefix: false,
-        versioned: true,
-        endpoint: "health",
-        handler: health,
-    },
-    Route {
-        method: "GET",
-        path: "/metrics",
-        prefix: false,
-        versioned: false,
-        endpoint: "metrics",
-        handler: metrics_text,
-    },
-    Route {
-        method: "GET",
-        path: "/corpus",
-        prefix: false,
-        versioned: true,
-        endpoint: "corpus",
-        handler: corpus,
-    },
-    Route {
-        method: "GET",
-        path: "/doc/",
-        prefix: true,
-        versioned: true,
-        endpoint: "doc",
-        handler: doc,
-    },
-    Route {
-        method: "POST",
-        path: "/rank",
-        prefix: false,
-        versioned: true,
-        endpoint: "rank",
-        handler: rank,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/sentence-removal",
-        prefix: false,
-        versioned: true,
-        endpoint: "sentence_removal",
-        handler: sentence_removal,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/query-augmentation",
-        prefix: false,
-        versioned: true,
-        endpoint: "query_augmentation",
-        handler: query_augmentation,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/query-reduction",
-        prefix: false,
-        versioned: true,
-        endpoint: "query_reduction",
-        handler: query_reduction,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/term-removal",
-        prefix: false,
-        versioned: true,
-        endpoint: "term_removal",
-        handler: term_removal,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/feature_attribution",
-        prefix: false,
-        versioned: true,
-        endpoint: "feature_attribution",
-        handler: feature_attribution,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/doc2vec-nearest",
-        prefix: false,
-        versioned: true,
-        endpoint: "doc2vec_nearest",
-        handler: doc2vec_nearest,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/cosine-sampled",
-        prefix: false,
-        versioned: true,
-        endpoint: "cosine_sampled",
-        handler: cosine_sampled,
-    },
-    Route {
-        method: "POST",
-        path: "/explain/nearest-to-text",
-        prefix: false,
-        versioned: true,
-        endpoint: "nearest_to_text",
-        handler: nearest_to_text,
-    },
-    Route {
-        method: "POST",
-        path: "/topics",
-        prefix: false,
-        versioned: true,
-        endpoint: "topics",
-        handler: topics,
-    },
-    Route {
-        method: "POST",
-        path: "/snippet",
-        prefix: false,
-        versioned: true,
-        endpoint: "snippet",
-        handler: snippet,
-    },
-    Route {
-        method: "POST",
-        path: "/rerank",
-        prefix: false,
-        versioned: true,
-        endpoint: "rerank",
-        handler: rerank,
-    },
-    Route {
-        method: "POST",
-        path: "/jobs",
-        prefix: false,
-        versioned: true,
-        endpoint: "jobs",
-        handler: jobs_submit,
-    },
-    Route {
-        method: "GET",
-        path: "/jobs/",
-        prefix: true,
-        versioned: true,
-        endpoint: "jobs",
-        handler: jobs_get,
-    },
-    Route {
-        method: "DELETE",
-        path: "/jobs/",
-        prefix: true,
-        versioned: true,
-        endpoint: "jobs",
-        handler: jobs_cancel,
-    },
-    Route {
-        method: "GET",
-        path: "/corpora",
-        prefix: false,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_list,
-    },
-    Route {
-        method: "GET",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_get,
-    },
-    Route {
-        method: "PUT",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_put,
-    },
-    Route {
-        method: "DELETE",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_delete,
-    },
-    Route {
-        method: "POST",
-        path: "/corpora/",
-        prefix: true,
-        versioned: true,
-        endpoint: "corpora",
-        handler: corpora_post,
-    },
-];
+impl Route {
+    /// An exact-path API route.
+    fn api(method: &'static str, path: &'static str, endpoint: &'static str, f: HandlerFn) -> Self {
+        Self {
+            method,
+            path,
+            prefix: false,
+            versioned: true,
+            endpoint,
+            handler: Handler::Fn(f),
+        }
+    }
+
+    /// An API route matching `path` as a prefix.
+    fn api_prefix(
+        method: &'static str,
+        path: &'static str,
+        endpoint: &'static str,
+        f: HandlerFn,
+    ) -> Self {
+        Self {
+            prefix: true,
+            ..Self::api(method, path, endpoint, f)
+        }
+    }
+
+    /// A canonical unversioned `GET` route.
+    fn infra(path: &'static str, endpoint: &'static str, f: HandlerFn) -> Self {
+        Self {
+            versioned: false,
+            ..Self::api("GET", path, endpoint, f)
+        }
+    }
+
+    /// The synchronous endpoint of an explanation family.
+    fn family(family: &'static Family) -> Self {
+        Self {
+            method: "POST",
+            path: family.path,
+            prefix: false,
+            versioned: true,
+            endpoint: family.label,
+            handler: Handler::Family(family),
+        }
+    }
+}
+
+/// The single route table, built once: every handler registers exactly
+/// once and is reachable both under [`API_PREFIX`] and at its unversioned
+/// alias. The explanation families enter as one row each from [`FAMILIES`].
+fn routes() -> &'static [Route] {
+    static ROUTES: OnceLock<Vec<Route>> = OnceLock::new();
+    ROUTES.get_or_init(|| {
+        let mut routes = vec![
+            Route::infra("/", "ui", ui),
+            Route::infra("/index.html", "ui", ui),
+            Route::api("GET", "/health", "health", health),
+            Route::infra("/metrics", "metrics", metrics_text),
+            Route::api("GET", "/corpus", "corpus", corpus),
+            Route::api_prefix("GET", "/doc/", "doc", doc),
+            Route::api("POST", "/rank", "rank", rank),
+        ];
+        routes.extend(FAMILIES.iter().map(Route::family));
+        routes.extend([
+            Route::api(
+                "POST",
+                "/explain/doc2vec-nearest",
+                "doc2vec_nearest",
+                doc2vec_nearest,
+            ),
+            Route::api(
+                "POST",
+                "/explain/cosine-sampled",
+                "cosine_sampled",
+                cosine_sampled,
+            ),
+            Route::api(
+                "POST",
+                "/explain/nearest-to-text",
+                "nearest_to_text",
+                nearest_to_text,
+            ),
+            Route::api("POST", "/topics", "topics", topics),
+            Route::api("POST", "/snippet", "snippet", snippet),
+            Route::api("POST", "/rerank", "rerank", rerank),
+            Route::api("POST", "/jobs", "jobs", jobs_submit),
+            Route::api_prefix("GET", "/jobs/", "jobs", jobs_get),
+            Route::api_prefix("DELETE", "/jobs/", "jobs", jobs_cancel),
+            Route::api("GET", "/corpora", "corpora", corpora_list),
+            Route::api_prefix("GET", "/corpora/", "corpora", corpora_get),
+            Route::api_prefix("PUT", "/corpora/", "corpora", corpora_put),
+            Route::api_prefix("DELETE", "/corpora/", "corpora", corpora_delete),
+            Route::api_prefix("POST", "/corpora/", "corpora", corpora_post),
+        ]);
+        routes
+    })
+}
 
 /// Build the unified error envelope:
 /// `{"error": {"code": "...", "message": "..."}}`.
@@ -578,7 +468,7 @@ pub(crate) fn invalid_fields_response(errors: Vec<FieldError>) -> Response {
 
 /// Map an [`ExplainError`] to its envelope — the single place the REST
 /// status and stable code for every core error are decided.
-fn explain_error_response(err: ExplainError) -> Response {
+pub(crate) fn explain_error_response(err: ExplainError) -> Response {
     let status = match err {
         ExplainError::DocNotFound(_) => 404,
         _ => 422,
@@ -613,7 +503,7 @@ fn resolve(state: &AppState, corpus: &CorpusRef) -> Result<Arc<CorpusSnapshot>, 
 /// Prefix `fields` with the `corpus` + `generation` envelope pair naming
 /// the snapshot that answered — carried by every 2xx body so clients (and
 /// the cluster router) can detect cross-generation skew.
-fn with_corpus(
+pub(crate) fn with_corpus(
     snap: &CorpusSnapshot,
     fields: Vec<(&'static str, Value)>,
 ) -> Vec<(&'static str, Value)> {
@@ -640,6 +530,28 @@ pub(crate) fn json_body(req: &Request) -> Result<Value, Response> {
         ));
     }
     Ok(value)
+}
+
+/// Parse the request body as a JSON object with `parse`, folding field
+/// errors into the `invalid_field` envelope.
+fn parse_body<T>(
+    req: &Request,
+    parse: impl FnOnce(&Value) -> Result<T, Vec<FieldError>>,
+) -> Result<T, Response> {
+    parse(&json_body(req)?).map_err(invalid_fields_response)
+}
+
+/// The prelude of every read handler: parse the body with `parse`, then
+/// resolve the snapshot the request's `corpus` selector names.
+pub(crate) fn read_request<T>(
+    state: &AppState,
+    req: &Request,
+    parse: impl FnOnce(&Value) -> Result<T, Vec<FieldError>>,
+    corpus: impl FnOnce(&T) -> &CorpusRef,
+) -> Result<(T, Arc<CorpusSnapshot>), Response> {
+    let parsed = parse_body(req, parse)?;
+    let snap = resolve(state, corpus(&parsed))?;
+    Ok((parsed, snap))
 }
 
 fn pool_entry_json(row: &PoolEntry) -> Value {
@@ -671,7 +583,7 @@ fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
     // root row.
     if versioned && path == "/" {
         return if req.method == "GET" {
-            ("api_index", api_index(state, req, ""))
+            ("api_index", api_index(state))
         } else {
             (
                 "other",
@@ -680,7 +592,7 @@ fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
         };
     }
     let mut path_matched = false;
-    for route in ROUTES {
+    for route in routes() {
         let tail = if route.prefix {
             path.strip_prefix(route.path)
         } else if path == route.path {
@@ -693,7 +605,11 @@ fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
         if route.method != req.method {
             continue;
         }
-        let mut resp = (route.handler)(state, req, tail);
+        let reply = match route.handler {
+            Handler::Fn(handler) => handler(state, req, tail),
+            Handler::Family(family) => crate::families::handle(state, req, family),
+        };
+        let mut resp = reply.unwrap_or_else(|error| error);
         if route.versioned && !versioned {
             resp = resp.with_header("deprecation", "true").with_header(
                 "link",
@@ -741,15 +657,21 @@ pub fn handle_request(state: &AppState, req: &Request) -> Response {
     resp
 }
 
-fn ui(_state: &AppState, _req: &Request, _tail: &str) -> Response {
-    Response::html(200, include_str!("ui.html").as_bytes().to_vec())
+fn ui(_state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    Ok(Response::html(
+        200,
+        include_str!("ui.html").as_bytes().to_vec(),
+    ))
 }
 
-fn health(_state: &AppState, _req: &Request, _tail: &str) -> Response {
-    Response::json(200, to_string(&obj([("status", Value::from("ok"))])))
+fn health(_state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    Ok(Response::json(
+        200,
+        to_string(&obj([("status", Value::from("ok"))])),
+    ))
 }
 
-fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Response {
+fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Reply {
     // Fold every corpus's cumulative retrieval/cache counters into the
     // registry so each scrape sees process-wide totals.
     state
@@ -759,7 +681,7 @@ fn metrics_text(state: &AppState, _req: &Request, _tail: &str) -> Response {
     render_corpus_metrics(&mut text, &state.registry.list());
     render_explain_cache_metrics(&mut text, &state.explain_cache);
     render_lime_metrics(&mut text, &state.lime);
-    Response::text(200, text)
+    Ok(Response::text(200, text))
 }
 
 /// Append the `credence_explain_lime_*` families to a `/metrics` scrape,
@@ -899,11 +821,8 @@ fn render_corpus_metrics(out: &mut String, infos: &[CorpusInfo]) {
     }
 }
 
-fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Response {
-    let snap = match resolve(state, &CorpusRef::default()) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+/// The document listing of `snap`: ids, names and titles.
+fn doc_listing(snap: &CorpusSnapshot) -> Response {
     let docs: Vec<Value> = snap
         .index()
         .documents()
@@ -920,7 +839,7 @@ fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Response {
     Response::json(
         200,
         to_string(&obj(with_corpus(
-            &snap,
+            snap,
             vec![
                 ("num_docs", Value::from(snap.index().num_docs())),
                 ("docs", Value::Array(docs)),
@@ -929,44 +848,44 @@ fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Response {
     )
 }
 
-fn doc(state: &AppState, _req: &Request, id: &str) -> Response {
-    let Ok(id) = id.parse::<u32>() else {
-        return error_envelope(400, "invalid_field", "document id must be an integer");
-    };
-    let snap = match resolve(state, &CorpusRef::default()) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap.index().document(DocId(id)) {
-        None => error_envelope(404, "doc_not_found", format!("document {id} not found")),
-        Some(d) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![
-                    ("doc", Value::from(id)),
-                    ("name", Value::from(d.name.as_str())),
-                    ("title", Value::from(d.title.as_str())),
-                    ("body", Value::from(d.body.as_str())),
-                ],
-            ))),
-        ),
-    }
+/// One document of `snap` in full.
+fn doc_response(snap: &CorpusSnapshot, id: usize, d: &Document) -> Response {
+    Response::json(
+        200,
+        to_string(&obj(with_corpus(
+            snap,
+            vec![
+                ("doc", Value::from(id)),
+                ("name", Value::from(d.name.as_str())),
+                ("title", Value::from(d.title.as_str())),
+                ("body", Value::from(d.body.as_str())),
+            ],
+        ))),
+    )
 }
 
-fn rank(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
+fn corpus(state: &AppState, _req: &Request, _tail: &str) -> Reply {
+    let snap = resolve(state, &CorpusRef::default())?;
+    Ok(doc_listing(&snap))
+}
+
+fn doc(state: &AppState, _req: &Request, id: &str) -> Reply {
+    let Ok(id) = id.parse::<u32>() else {
+        return Err(error_envelope(
+            400,
+            "invalid_field",
+            "document id must be an integer",
+        ));
     };
-    let parsed = match RankRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+    let snap = resolve(state, &CorpusRef::default())?;
+    Ok(match snap.index().document(DocId(id)) {
+        None => error_envelope(404, "doc_not_found", format!("document {id} not found")),
+        Some(d) => doc_response(&snap, id as usize, d),
+    })
+}
+
+fn rank(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, RankRequest::parse, |r| &r.corpus)?;
     let mut opts = snap.engine().config().retrieval;
     if let Some(strategy) = parsed.search_strategy {
         opts.strategy = strategy;
@@ -989,989 +908,242 @@ fn rank(state: &AppState, req: &Request, _tail: &str) -> Response {
             ])
         })
         .collect();
-    Response::json(
+    Ok(Response::json(
         200,
         to_string(&obj(with_corpus(
             &snap,
             vec![("ranking", Value::Array(rows))],
         ))),
-    )
+    ))
 }
 
-/// The canonical cache key for an explain request: endpoint, resolved
-/// corpus + generation, and every *payload-determining* parsed field,
-/// joined by `\u{0}` (which cannot survive tokenisation, so keys cannot
-/// collide with query text). Parsing already canonicalizes field order
-/// and spelled-out defaults, so semantically identical bodies key equal.
-///
-/// Deliberately excluded: the eval knobs (`eval_threads`,
-/// `eval_parallel_threshold`, `eval_exact`) — proven payload-invariant —
-/// and `deadline_ms`, which is wall-clock-relative; deadline partials are
-/// never cached (see [`crate::explain_cache`]). `max_evals` *is* included
-/// because evaluation-capped truncation is deterministic.
-fn explain_cache_key(
-    endpoint: &str,
+/// The `explanations` payload of the two instance-based explainers.
+fn instance_response(
     snap: &CorpusSnapshot,
-    query: &str,
-    k: usize,
-    doc: usize,
-    n: usize,
-    threshold: Option<usize>,
-    controls: &SearchControls,
-) -> String {
-    let threshold = threshold.map_or_else(|| "-".to_string(), |t| t.to_string());
-    let max_evals = controls
-        .lifecycle
-        .max_evals
-        .map_or_else(|| "none".to_string(), |m| m.to_string());
-    format!(
-        "{endpoint}\u{0}{corpus}\u{0}{generation}\u{0}{query}\u{0}{k}\u{0}{doc}\u{0}{n}\u{0}\
-         {threshold}\u{0}{max_size}\u{0}{max_candidates}\u{0}{max_evals}",
-        corpus = snap.corpus(),
-        generation = snap.generation(),
-        max_size = controls.search.max_size,
-        max_candidates = controls.search.max_candidates,
-    )
-}
-
-/// Serve a sentence-removal request through the explanation cache:
-/// repeated requests hit, concurrent identical requests coalesce, and
-/// `explain_cache_bypass` (or a disabled cache) runs the search directly.
-/// Both the synchronous endpoint and the job workers enter here, so a
-/// finished job's stored payload satisfies a matching synchronous request
-/// and vice versa.
-pub(crate) fn cached_sentence_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &SentenceRemovalRequest,
+    key: &'static str,
+    explanations: &[credence_core::InstanceExplanation],
 ) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_sentence_removal(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "sentence_removal",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        None,
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_sentence_removal(state, snap, parsed)
-        })
-}
-
-/// Cache-fronted query augmentation (see [`cached_sentence_removal`]).
-pub(crate) fn cached_query_augmentation(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryAugmentationRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_query_augmentation(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "query_augmentation",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        Some(parsed.threshold),
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_query_augmentation(state, snap, parsed)
-        })
-}
-
-/// Cache-fronted query reduction (see [`cached_sentence_removal`]).
-pub(crate) fn cached_query_reduction(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryReductionRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_query_reduction(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "query_reduction",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        None,
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_query_reduction(state, snap, parsed)
-        })
-}
-
-/// Cache-fronted term removal (see [`cached_sentence_removal`]).
-pub(crate) fn cached_term_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &TermRemovalRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_term_removal(state, snap, parsed);
-    }
-    let key = explain_cache_key(
-        "term_removal",
-        snap,
-        &parsed.query,
-        parsed.k,
-        parsed.doc,
-        parsed.n,
-        None,
-        &parsed.controls,
-    );
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_term_removal(state, snap, parsed)
-        })
-}
-
-/// The cache key for a feature-attribution request. The shared
-/// [`explain_cache_key`] layout does not fit (no `n`/`threshold`, but four
-/// sampler fields that change the payload), so the endpoint keys itself:
-/// `samples`, `seed`, `top_m`, and the ridge `lambda` are all included, as
-/// is `max_candidates` (which caps the surrogate features) and `max_evals`
-/// (deterministic truncation). The eval knobs and `deadline_ms` stay
-/// excluded for the same reasons as the other explainers.
-fn lime_cache_key(snap: &CorpusSnapshot, parsed: &FeatureAttributionRequest) -> String {
-    let max_evals = parsed
-        .controls
-        .lifecycle
-        .max_evals
-        .map_or_else(|| "none".to_string(), |m| m.to_string());
-    format!(
-        "feature_attribution\u{0}{corpus}\u{0}{generation}\u{0}{query}\u{0}{k}\u{0}{doc}\u{0}\
-         {samples}\u{0}{seed}\u{0}{top_m}\u{0}{lambda}\u{0}{max_candidates}\u{0}{max_evals}",
-        corpus = snap.corpus(),
-        generation = snap.generation(),
-        query = parsed.query,
-        k = parsed.k,
-        doc = parsed.doc,
-        samples = parsed.samples,
-        seed = parsed.seed,
-        top_m = parsed.top_m,
-        lambda = parsed.lambda,
-        max_candidates = parsed.controls.search.max_candidates,
-    )
-}
-
-/// Cache-fronted feature attribution (see [`cached_sentence_removal`]).
-/// Safe to cache despite being sampled: the payload is a pure function of
-/// the key — the seed pins the mask stream and the generation pins the
-/// corpus — so a hit is byte-identical to a recompute.
-pub(crate) fn cached_feature_attribution(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &FeatureAttributionRequest,
-) -> Response {
-    if parsed.controls.cache_bypass {
-        return run_feature_attribution(state, snap, parsed);
-    }
-    let key = lime_cache_key(snap, parsed);
-    state
-        .explain_cache
-        .get_or_compute(&key, parsed.controls.lifecycle.deadline, || {
-            run_feature_attribution(state, snap, parsed)
-        })
-}
-
-fn feature_attribution(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match FeatureAttributionRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_feature_attribution(state, &snap, &parsed)
-}
-
-/// Serialise a finished feature-attribution run into the REST payload.
-/// Public because the CLI prints exactly this body for its local engine —
-/// one serialisation point keeps the two surfaces byte-identical.
-pub fn feature_attribution_payload(
-    corpus: &str,
-    generation: u64,
-    request: (usize, u64, usize, f64),
-    result: &FeatureAttributionResult,
-) -> String {
-    let (samples, seed, top_m, lambda) = request;
-    let attributions: Vec<Value> = result
-        .attributions
+    let rows = explanations
         .iter()
-        .map(|a| {
+        .map(|e| {
             obj([
-                ("term", Value::from(a.term.as_str())),
-                ("weight", Value::from(a.weight)),
+                ("doc", Value::from(e.doc.0)),
+                ("similarity", Value::from(e.similarity)),
+                ("rank", e.rank.map(Value::from).unwrap_or(Value::Null)),
             ])
         })
         .collect();
-    to_string(&obj([
-        ("corpus", Value::from(corpus.to_string())),
-        ("generation", Value::from(generation as usize)),
-        ("status", Value::from(result.status.as_str())),
-        ("old_rank", Value::from(result.old_rank)),
-        (
-            "candidates_evaluated",
-            Value::from(result.samples_evaluated),
-        ),
-        ("samples", Value::from(samples)),
-        ("seed", Value::from(seed as usize)),
-        ("top_m", Value::from(top_m)),
-        ("lambda", Value::from(lambda)),
-        ("features", Value::from(result.features)),
-        ("intercept", Value::from(result.intercept)),
-        ("fidelity", Value::from(result.fidelity)),
-        ("attributions", Value::Array(attributions)),
-    ]))
-}
-
-/// Execute a parsed feature-attribution request (shared with job workers).
-pub(crate) fn run_feature_attribution(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &FeatureAttributionRequest,
-) -> Response {
-    let config = FeatureAttributionConfig {
-        samples: parsed.samples,
-        seed: parsed.seed,
-        top_m: parsed.top_m,
-        lambda: parsed.lambda,
-        max_features: parsed.controls.search.max_candidates,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-    };
-    let started = Instant::now();
-    match snap.engine().feature_attribution(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        &config,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.samples_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            state.lime.record(&result);
-            Response::json(
-                200,
-                feature_attribution_payload(
-                    snap.corpus(),
-                    snap.generation(),
-                    (parsed.samples, parsed.seed, parsed.top_m, parsed.lambda),
-                    &result,
-                ),
-            )
-        }
-    }
-}
-
-fn sentence_removal(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match SentenceRemovalRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_sentence_removal(state, &snap, &parsed)
-}
-
-/// Execute a parsed sentence-removal request against a resolved snapshot.
-/// Shared verbatim by the synchronous endpoint and the job workers, so
-/// both produce the same payload for the same request and generation.
-pub(crate) fn run_sentence_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &SentenceRemovalRequest,
-) -> Response {
-    let config = SentenceRemovalConfig {
-        n: parsed.n,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap
-        .engine()
-        .sentence_removal(&parsed.query, parsed.k, DocId(parsed.doc as u32), &config)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "removed_sentences",
-                            Value::Array(e.removed.iter().map(|&i| Value::from(i)).collect()),
-                        ),
-                        (
-                            "removed_text",
-                            Value::Array(
-                                e.removed_text
-                                    .iter()
-                                    .map(|t| Value::from(t.as_str()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("perturbed_body", Value::from(e.perturbed_body.as_str())),
-                        ("importance", Value::from(e.importance)),
-                        ("old_rank", Value::from(e.old_rank)),
-                        ("new_rank", Value::from(e.new_rank)),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
-}
-
-fn query_augmentation(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match QueryAugmentationRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_query_augmentation(state, &snap, &parsed)
-}
-
-/// Execute a parsed query-augmentation request (shared with job workers).
-pub(crate) fn run_query_augmentation(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryAugmentationRequest,
-) -> Response {
-    let config = QueryAugmentationConfig {
-        n: parsed.n,
-        threshold: parsed.threshold,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap.engine().query_augmentation(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        &config,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "terms",
-                            Value::Array(e.terms.iter().map(|t| Value::from(t.as_str())).collect()),
-                        ),
-                        ("augmented_query", Value::from(e.augmented_query.as_str())),
-                        ("tfidf", Value::from(e.tfidf)),
-                        ("old_rank", Value::from(e.old_rank)),
-                        ("new_rank", Value::from(e.new_rank)),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
-}
-
-fn query_reduction(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match QueryReductionRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_query_reduction(state, &snap, &parsed)
-}
-
-/// Execute a parsed query-reduction request (shared with job workers).
-pub(crate) fn run_query_reduction(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &QueryReductionRequest,
-) -> Response {
-    let config = QueryReductionConfig {
-        n: parsed.n,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap
-        .engine()
-        .query_reduction(&parsed.query, parsed.k, DocId(parsed.doc as u32), &config)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "removed_terms",
-                            Value::Array(
-                                e.removed_terms
-                                    .iter()
-                                    .map(|t| Value::from(t.as_str()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("reduced_query", Value::from(e.reduced_query.as_str())),
-                        ("old_rank", Value::from(e.old_rank)),
-                        (
-                            "new_rank",
-                            e.new_rank.map(Value::from).unwrap_or(Value::Null),
-                        ),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
-}
-
-fn term_removal(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match TermRemovalRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    cached_term_removal(state, &snap, &parsed)
-}
-
-/// Execute a parsed term-removal request (shared with job workers).
-pub(crate) fn run_term_removal(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    parsed: &TermRemovalRequest,
-) -> Response {
-    let config = TermRemovalConfig {
-        n: parsed.n,
-        budget: parsed.controls.search,
-        eval: parsed.controls.eval,
-        lifecycle: parsed.controls.lifecycle.clone(),
-        ..Default::default()
-    };
-    let started = Instant::now();
-    match snap
-        .engine()
-        .term_removal(&parsed.query, parsed.k, DocId(parsed.doc as u32), &config)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(result) => {
-            state.metrics.record_search(
-                result.status.as_str(),
-                result.candidates_evaluated as u64,
-                started.elapsed().as_micros() as u64,
-            );
-            let explanations: Vec<Value> = result
-                .explanations
-                .iter()
-                .map(|e| {
-                    obj([
-                        (
-                            "removed_terms",
-                            Value::Array(
-                                e.removed_terms
-                                    .iter()
-                                    .map(|t| Value::from(t.as_str()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("perturbed_body", Value::from(e.perturbed_body.as_str())),
-                        ("importance", Value::from(e.importance)),
-                        ("old_rank", Value::from(e.old_rank)),
-                        ("new_rank", Value::from(e.new_rank)),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    snap,
-                    vec![
-                        ("status", Value::from(result.status.as_str())),
-                        ("old_rank", Value::from(result.old_rank)),
-                        (
-                            "candidates_evaluated",
-                            Value::from(result.candidates_evaluated),
-                        ),
-                        ("explanations", Value::Array(explanations)),
-                    ],
-                ))),
-            )
-        }
-    }
-}
-
-fn instance_json(explanations: &[credence_core::InstanceExplanation]) -> Value {
-    Value::Array(
-        explanations
-            .iter()
-            .map(|e| {
-                obj([
-                    ("doc", Value::from(e.doc.0)),
-                    ("similarity", Value::from(e.similarity)),
-                    ("rank", e.rank.map(Value::from).unwrap_or(Value::Null)),
-                ])
-            })
-            .collect(),
+    Response::json(
+        200,
+        to_string(&obj(with_corpus(snap, vec![(key, Value::Array(rows))]))),
     )
 }
 
-fn doc2vec_nearest(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match Doc2VecNearestRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap
-        .engine()
-        .doc2vec_nearest(&parsed.query, parsed.k, DocId(parsed.doc as u32), parsed.n)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(out) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![("explanations", instance_json(&out))],
-            ))),
-        ),
-    }
+fn doc2vec_nearest(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, Doc2VecNearestRequest::parse, |r| &r.corpus)?;
+    let doc = DocId(parsed.doc as u32);
+    Ok(
+        match snap
+            .engine()
+            .doc2vec_nearest(&parsed.query, parsed.k, doc, parsed.n)
+        {
+            Err(e) => explain_error_response(e),
+            Ok(out) => instance_response(&snap, "explanations", &out),
+        },
+    )
 }
 
-fn cosine_sampled(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match CosineSampledRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap.engine().cosine_sampled(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        parsed.n,
-        parsed.samples,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(out) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![("explanations", instance_json(&out))],
-            ))),
-        ),
-    }
+fn cosine_sampled(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, CosineSampledRequest::parse, |r| &r.corpus)?;
+    let doc = DocId(parsed.doc as u32);
+    Ok(
+        match snap
+            .engine()
+            .cosine_sampled(&parsed.query, parsed.k, doc, parsed.n, parsed.samples)
+        {
+            Err(e) => explain_error_response(e),
+            Ok(out) => instance_response(&snap, "explanations", &out),
+        },
+    )
 }
 
-fn topics(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match TopicsRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap
+fn topics(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, TopicsRequest::parse, |r| &r.corpus)?;
+    let topics = snap
         .engine()
         .topics(&parsed.query, parsed.k, parsed.num_topics)
-    {
-        Err(e) => explain_error_response(e),
-        Ok(topics) => {
-            let rows: Vec<Value> = topics
+        .map_err(explain_error_response)?;
+    let rows: Vec<Value> = topics
+        .iter()
+        .map(|t| {
+            let terms = t
+                .terms
                 .iter()
-                .map(|t| {
+                .map(|(term, p)| {
                     obj([
-                        ("topic", Value::from(t.topic)),
-                        ("weight", Value::from(t.weight)),
-                        (
-                            "terms",
-                            Value::Array(
-                                t.terms
-                                    .iter()
-                                    .map(|(term, p)| {
-                                        obj([
-                                            ("term", Value::from(term.as_str())),
-                                            ("probability", Value::from(*p)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
+                        ("term", Value::from(term.as_str())),
+                        ("probability", Value::from(*p)),
                     ])
                 })
                 .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    &snap,
-                    vec![("topics", Value::Array(rows))],
-                ))),
-            )
-        }
-    }
+            obj([
+                ("topic", Value::from(t.topic)),
+                ("weight", Value::from(t.weight)),
+                ("terms", Value::Array(terms)),
+            ])
+        })
+        .collect();
+    Ok(Response::json(
+        200,
+        to_string(&obj(with_corpus(
+            &snap,
+            vec![("topics", Value::Array(rows))],
+        ))),
+    ))
 }
 
-fn snippet(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match SnippetRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap
+fn snippet(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, SnippetRequest::parse, |r| &r.corpus)?;
+    let (highlights, snippet) = snap
         .engine()
         .snippet(&parsed.query, DocId(parsed.doc as u32), parsed.window)
-    {
-        Err(e) => explain_error_response(e),
-        Ok((highlights, snippet)) => {
-            let spans: Vec<Value> = highlights
-                .iter()
-                .map(|h| obj([("start", Value::from(h.start)), ("end", Value::from(h.end))]))
-                .collect();
-            let snippet_json = match snippet {
-                None => Value::Null,
-                Some(s) => obj([
-                    ("text", Value::from(s.text)),
-                    ("start", Value::from(s.start)),
-                    ("end", Value::from(s.end)),
-                    ("hits", Value::from(s.hits)),
-                ]),
-            };
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    &snap,
-                    vec![
-                        ("highlights", Value::Array(spans)),
-                        ("snippet", snippet_json),
-                    ],
-                ))),
-            )
-        }
-    }
+        .map_err(explain_error_response)?;
+    let spans: Vec<Value> = highlights
+        .iter()
+        .map(|h| obj([("start", Value::from(h.start)), ("end", Value::from(h.end))]))
+        .collect();
+    let snippet_json = match snippet {
+        None => Value::Null,
+        Some(s) => obj([
+            ("text", Value::from(s.text)),
+            ("start", Value::from(s.start)),
+            ("end", Value::from(s.end)),
+            ("hits", Value::from(s.hits)),
+        ]),
+    };
+    Ok(Response::json(
+        200,
+        to_string(&obj(with_corpus(
+            &snap,
+            vec![
+                ("highlights", Value::Array(spans)),
+                ("snippet", snippet_json),
+            ],
+        ))),
+    ))
 }
 
-fn nearest_to_text(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match NearestToTextRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+fn nearest_to_text(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, NearestToTextRequest::parse, |r| &r.corpus)?;
     let exclude = parsed.exclude.as_ref().map(|(q, k)| (q.as_str(), *k));
     let out = snap
         .engine()
         .nearest_to_text(&parsed.text, parsed.n, exclude);
-    Response::json(
+    Ok(instance_response(&snap, "neighbors", &out))
+}
+
+fn rerank(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, RerankRequest::parse, |r| &r.corpus)?;
+    let outcome = snap
+        .engine()
+        .builder_rerank_budgeted(
+            &parsed.query,
+            parsed.k,
+            DocId(parsed.doc as u32),
+            &parsed.body,
+            &parsed.lifecycle,
+        )
+        .map_err(explain_error_response)?;
+    let revealed = outcome.revealed.map(|d| Value::from(d.0));
+    Ok(Response::json(
         200,
         to_string(&obj(with_corpus(
             &snap,
-            vec![("neighbors", instance_json(&out))],
+            vec![
+                ("valid", Value::from(outcome.valid)),
+                ("old_rank", Value::from(outcome.old_rank)),
+                ("new_rank", Value::from(outcome.new_rank)),
+                ("revealed", revealed.unwrap_or(Value::Null)),
+                (
+                    "rows",
+                    Value::Array(outcome.rows.iter().map(pool_entry_json).collect()),
+                ),
+            ],
         ))),
-    )
-}
-
-fn rerank(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match RerankRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, &parsed.corpus) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    match snap.engine().builder_rerank_budgeted(
-        &parsed.query,
-        parsed.k,
-        DocId(parsed.doc as u32),
-        &parsed.body,
-        &parsed.lifecycle,
-    ) {
-        Err(e) => explain_error_response(e),
-        Ok(outcome) => Response::json(
-            200,
-            to_string(&obj(with_corpus(
-                &snap,
-                vec![
-                    ("valid", Value::from(outcome.valid)),
-                    ("old_rank", Value::from(outcome.old_rank)),
-                    ("new_rank", Value::from(outcome.new_rank)),
-                    (
-                        "revealed",
-                        outcome
-                            .revealed
-                            .map(|d| Value::from(d.0))
-                            .unwrap_or(Value::Null),
-                    ),
-                    (
-                        "rows",
-                        Value::Array(outcome.rows.iter().map(pool_entry_json).collect()),
-                    ),
-                ],
-            ))),
-        ),
-    }
-}
-
-/// Execute an admitted job request against its pinned snapshot through the
-/// same cache-fronted `cached_*` path the synchronous endpoint uses — the
-/// single point that guarantees job payloads are bit-identical to
-/// synchronous responses for the same generation, and the unification of
-/// the job result store with the explanation cache: a finished job's
-/// payload is deposited where a matching synchronous request will hit it,
-/// and a cached synchronous payload satisfies a matching job without
-/// re-running the search.
-pub(crate) fn execute_job(
-    state: &AppState,
-    snap: &CorpusSnapshot,
-    request: &JobRequest,
-) -> Response {
-    match request {
-        JobRequest::SentenceRemoval(r) => cached_sentence_removal(state, snap, r),
-        JobRequest::QueryAugmentation(r) => cached_query_augmentation(state, snap, r),
-        JobRequest::QueryReduction(r) => cached_query_reduction(state, snap, r),
-        JobRequest::TermRemoval(r) => cached_term_removal(state, snap, r),
-        JobRequest::FeatureAttribution(r) => cached_feature_attribution(state, snap, r),
-    }
+    ))
 }
 
 /// `POST /api/v1/jobs` — admit an explanation request into the queue,
 /// pinning the snapshot it names so the job executes against that exact
 /// generation no matter how far the corpus advances before a worker gets
 /// to it.
-fn jobs_submit(state: &AppState, req: &Request, _tail: &str) -> Response {
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match JobSubmitRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
-    let snap = match resolve(state, parsed.request.corpus_ref()) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
+fn jobs_submit(state: &AppState, req: &Request, _tail: &str) -> Reply {
+    let (parsed, snap) = read_request(state, req, JobSubmitRequest::parse, |r| {
+        r.request.corpus_ref()
+    })?;
     let (corpus, generation) = (snap.corpus().to_string(), snap.generation());
-    match state.jobs.submit(parsed.request, snap, &state.metrics) {
-        SubmitOutcome::Accepted(id) => Response::json(
-            202,
-            to_string(&obj([
-                ("corpus", Value::from(corpus)),
-                ("generation", Value::from(generation as usize)),
-                ("job_id", Value::from(format!("job-{id}"))),
-                ("status", Value::from("queued")),
-            ])),
-        ),
-        SubmitOutcome::QueueFull => error_envelope(
-            429,
-            "queue_full",
-            format!(
-                "job queue is full ({} waiting); retry later",
-                state.jobs.config().queue_depth
+    Ok(
+        match state.jobs.submit(parsed.request, snap, &state.metrics) {
+            SubmitOutcome::Accepted(id) => Response::json(
+                202,
+                to_string(&obj([
+                    ("corpus", Value::from(corpus)),
+                    ("generation", Value::from(generation as usize)),
+                    ("job_id", Value::from(format!("job-{id}"))),
+                    ("status", Value::from("queued")),
+                ])),
             ),
-        )
-        .with_header("retry-after", "1"),
-        SubmitOutcome::ShuttingDown => error_envelope(
-            503,
-            "shutting_down",
-            "server is draining; no new jobs accepted",
-        )
-        .with_header("retry-after", "1"),
-    }
+            SubmitOutcome::QueueFull => error_envelope(
+                429,
+                "queue_full",
+                format!(
+                    "job queue is full ({} waiting); retry later",
+                    state.jobs.config().queue_depth
+                ),
+            )
+            .with_header("retry-after", "1"),
+            SubmitOutcome::ShuttingDown => error_envelope(
+                503,
+                "shutting_down",
+                "server is draining; no new jobs accepted",
+            )
+            .with_header("retry-after", "1"),
+        },
+    )
 }
 
 /// Parse a `job-<n>` wire id into the runner's numeric id.
-fn parse_job_id(tail: &str) -> Option<u64> {
-    tail.strip_prefix("job-")?.parse().ok()
+fn parse_job_id(tail: &str) -> Result<u64, Response> {
+    tail.strip_prefix("job-")
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| error_envelope(400, "invalid_field", "job id must look like job-<n>"))
+}
+
+fn job_not_found(id: u64) -> Response {
+    error_envelope(404, "job_not_found", format!("no such job: job-{id}"))
 }
 
 /// Render one job snapshot: `410` + an embedded `job_expired` error for
 /// expired jobs, `200` with the stored result (if any) otherwise.
 fn job_response(view: &JobView) -> Response {
-    let id = Value::from(format!("job-{}", view.id));
-    if view.state == crate::jobs::JobState::Expired {
-        return Response::json(
-            410,
-            to_string(&obj([
-                ("corpus", Value::from(view.corpus.clone())),
-                ("generation", Value::from(view.generation as usize)),
-                ("job_id", id),
-                ("status", Value::from("expired")),
-                ("endpoint", Value::from(view.endpoint)),
-                (
-                    "error",
-                    obj([
-                        ("code", Value::from("job_expired")),
-                        (
-                            "message",
-                            Value::from("the result aged out of the store and was discarded"),
-                        ),
-                    ]),
-                ),
-            ])),
-        );
-    }
     let mut fields: Vec<(&str, Value)> = vec![
         ("corpus", Value::from(view.corpus.clone())),
         ("generation", Value::from(view.generation as usize)),
-        ("job_id", id),
+        ("job_id", Value::from(format!("job-{}", view.id))),
         ("status", Value::from(view.state.as_str())),
         ("endpoint", Value::from(view.endpoint)),
     ];
+    if view.state == crate::jobs::JobState::Expired {
+        let message = "the result aged out of the store and was discarded";
+        fields.push((
+            "error",
+            obj([
+                ("code", Value::from("job_expired")),
+                ("message", Value::from(message)),
+            ]),
+        ));
+        return Response::json(410, to_string(&obj(fields)));
+    }
     if let Some((status, payload)) = &view.result {
         fields.push(("result", payload.clone()));
         fields.push(("result_status", Value::from(*status as usize)));
@@ -1980,26 +1152,22 @@ fn job_response(view: &JobView) -> Response {
 }
 
 /// `GET /api/v1/jobs/{id}` — poll one job.
-fn jobs_get(state: &AppState, _req: &Request, tail: &str) -> Response {
-    let Some(id) = parse_job_id(tail) else {
-        return error_envelope(400, "invalid_field", "job id must look like job-<n>");
-    };
-    match state.jobs.get(id, &state.metrics) {
-        None => error_envelope(404, "job_not_found", format!("no such job: job-{id}")),
-        Some(view) => job_response(&view),
-    }
+fn jobs_get(state: &AppState, _req: &Request, tail: &str) -> Reply {
+    let id = parse_job_id(tail)?;
+    let view = state
+        .jobs
+        .get(id, &state.metrics)
+        .ok_or_else(|| job_not_found(id))?;
+    Ok(job_response(&view))
 }
 
 /// `DELETE /api/v1/jobs/{id}` — cancel one job.
-fn jobs_cancel(state: &AppState, _req: &Request, tail: &str) -> Response {
-    let Some(id) = parse_job_id(tail) else {
-        return error_envelope(400, "invalid_field", "job id must look like job-<n>");
-    };
-    let wire_id = Value::from(format!("job-{id}"));
-    let outcome = match state.jobs.cancel(id, &state.metrics) {
-        None => return error_envelope(404, "job_not_found", format!("no such job: job-{id}")),
-        Some(o) => o,
-    };
+fn jobs_cancel(state: &AppState, _req: &Request, tail: &str) -> Reply {
+    let id = parse_job_id(tail)?;
+    let outcome = state
+        .jobs
+        .cancel(id, &state.metrics)
+        .ok_or_else(|| job_not_found(id))?;
     // Re-fetch the view so the envelope carries the job's pinned corpus
     // coordinates, mirroring every other 2xx body.
     let mut fields: Vec<(&str, Value)> = Vec::new();
@@ -2007,22 +1175,18 @@ fn jobs_cancel(state: &AppState, _req: &Request, tail: &str) -> Response {
         fields.push(("corpus", Value::from(view.corpus.clone())));
         fields.push(("generation", Value::from(view.generation as usize)));
     }
-    fields.push(("job_id", wire_id));
-    match outcome {
-        CancelOutcome::Cancelled => {
-            fields.push(("status", Value::from("cancelled")));
-            Response::json(200, to_string(&obj(fields)))
-        }
-        CancelOutcome::CancelRequested => {
-            fields.push(("status", Value::from("running")));
-            fields.push(("cancel_requested", Value::from(true)));
-            Response::json(202, to_string(&obj(fields)))
-        }
-        CancelOutcome::AlreadyTerminal(state) => {
-            fields.push(("status", Value::from(state.as_str())));
-            Response::json(200, to_string(&obj(fields)))
-        }
+    fields.push(("job_id", Value::from(format!("job-{id}"))));
+    let status = match outcome {
+        CancelOutcome::Cancelled => "cancelled",
+        CancelOutcome::CancelRequested => "running",
+        CancelOutcome::AlreadyTerminal(terminal) => terminal.as_str(),
+    };
+    fields.push(("status", Value::from(status)));
+    if outcome == CancelOutcome::CancelRequested {
+        fields.push(("cancel_requested", Value::from(true)));
+        return Ok(Response::json(202, to_string(&obj(fields))));
     }
+    Ok(Response::json(200, to_string(&obj(fields))))
 }
 
 // ---------------------------------------------------------------------------
@@ -2037,36 +1201,25 @@ const REFRESH_TIMEOUT: Duration = Duration::from_secs(30);
 /// route table, so the advertised surface can never drift from what actually
 /// serves: each versioned row appears once canonically and once as its
 /// deprecated unversioned alias with a `successor` link.
-fn api_index(state: &AppState, _req: &Request, _tail: &str) -> Response {
-    let mut routes: Vec<Value> = vec![obj([
-        ("method", Value::from("GET")),
-        ("path", Value::from(API_PREFIX)),
-        ("endpoint", Value::from("api_index")),
-        ("deprecated", Value::from(false)),
-    ])];
-    for route in ROUTES {
+fn api_index(state: &AppState) -> Response {
+    let row = |method: &str, path: &str, endpoint: &str, deprecated: bool| {
+        vec![
+            ("method", Value::from(method)),
+            ("path", Value::from(path)),
+            ("endpoint", Value::from(endpoint)),
+            ("deprecated", Value::from(deprecated)),
+        ]
+    };
+    let mut routes = vec![obj(row("GET", API_PREFIX, "api_index", false))];
+    for route in self::routes() {
         if route.versioned {
             let canonical = format!("{API_PREFIX}{}", route.path);
-            routes.push(obj([
-                ("method", Value::from(route.method)),
-                ("path", Value::from(canonical.clone())),
-                ("endpoint", Value::from(route.endpoint)),
-                ("deprecated", Value::from(false)),
-            ]));
-            routes.push(obj([
-                ("method", Value::from(route.method)),
-                ("path", Value::from(route.path)),
-                ("endpoint", Value::from(route.endpoint)),
-                ("deprecated", Value::from(true)),
-                ("successor", Value::from(canonical)),
-            ]));
+            routes.push(obj(row(route.method, &canonical, route.endpoint, false)));
+            let mut alias = row(route.method, route.path, route.endpoint, true);
+            alias.push(("successor", Value::from(canonical)));
+            routes.push(obj(alias));
         } else {
-            routes.push(obj([
-                ("method", Value::from(route.method)),
-                ("path", Value::from(route.path)),
-                ("endpoint", Value::from(route.endpoint)),
-                ("deprecated", Value::from(false)),
-            ]));
+            routes.push(obj(row(route.method, route.path, route.endpoint, false)));
         }
     }
     let corpora: Vec<Value> = state
@@ -2121,96 +1274,80 @@ fn corpus_info_json(info: &CorpusInfo) -> Value {
 }
 
 /// `GET /api/v1/corpora` — list every registered corpus.
-fn corpora_list(state: &AppState, _req: &Request, _tail: &str) -> Response {
+fn corpora_list(state: &AppState, _req: &Request, _tail: &str) -> Reply {
     let infos: Vec<Value> = state.registry.list().iter().map(corpus_info_json).collect();
-    Response::json(200, to_string(&obj([("corpora", Value::Array(infos))])))
+    Ok(Response::json(
+        200,
+        to_string(&obj([("corpora", Value::Array(infos))])),
+    ))
 }
 
-fn corpus_not_found(name: &str) -> Response {
-    error_envelope(
-        404,
-        "corpus_not_found",
-        format!("no corpus registered under '{name}'"),
+/// The registered corpus `name`, or `404 corpus_not_found`.
+fn registered(state: &AppState, name: &str) -> Result<Arc<Corpus>, Response> {
+    state.registry.get(name).ok_or_else(|| {
+        error_envelope(
+            404,
+            "corpus_not_found",
+            format!("no corpus registered under '{name}'"),
+        )
+    })
+}
+
+/// The live snapshot of the corpus `name`.
+fn live_snapshot(state: &AppState, name: &str) -> Result<Arc<CorpusSnapshot>, Response> {
+    resolve(
+        state,
+        &CorpusRef {
+            corpus: name.to_string(),
+            generation: None,
+        },
     )
 }
 
-/// Build a [`CorpusRef`] naming the live generation of `name`.
-fn live_ref(name: &str) -> CorpusRef {
-    CorpusRef {
-        corpus: name.to_string(),
-        generation: None,
+fn doc_not_found(name: &str, id: &str) -> Response {
+    error_envelope(
+        404,
+        "doc_not_found",
+        format!("no document named '{id}' in corpus '{name}'"),
+    )
+}
+
+/// `409 corpus_protected`: the default corpus is never replaced or removed.
+fn protect_default(name: &str) -> Result<(), Response> {
+    if name == DEFAULT_CORPUS {
+        return Err(error_envelope(
+            409,
+            "corpus_protected",
+            "the default corpus cannot be replaced or removed",
+        ));
     }
+    Ok(())
+}
+
+fn method_not_allowed() -> Response {
+    error_envelope(405, "method_not_allowed", "method not allowed")
 }
 
 /// `GET /api/v1/corpora/{name}[/docs[/{id}]]` — corpus info, the document
 /// listing, or one document looked up by external name.
-fn corpora_get(state: &AppState, _req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
-    match tail {
-        CorpusTail::Corpus(name) => match state.registry.get(name) {
-            None => corpus_not_found(name),
-            Some(corpus) => Response::json(200, to_string(&corpus_info_json(&corpus.info()))),
-        },
+fn corpora_get(state: &AppState, _req: &Request, tail: &str) -> Reply {
+    match parse_corpus_tail(tail)? {
+        CorpusTail::Corpus(name) => {
+            let info = registered(state, name)?.info();
+            Ok(Response::json(200, to_string(&corpus_info_json(&info))))
+        }
         CorpusTail::Docs(name) => {
-            let snap = match resolve(state, &live_ref(name)) {
-                Ok(s) => s,
-                Err(r) => return r,
-            };
-            let docs: Vec<Value> = snap
-                .index()
-                .documents()
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    obj([
-                        ("doc", Value::from(i)),
-                        ("name", Value::from(d.name.as_str())),
-                        ("title", Value::from(d.title.as_str())),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                to_string(&obj(with_corpus(
-                    &snap,
-                    vec![
-                        ("num_docs", Value::from(snap.index().num_docs())),
-                        ("docs", Value::Array(docs)),
-                    ],
-                ))),
-            )
+            let snap = live_snapshot(state, name)?;
+            Ok(doc_listing(&snap))
         }
         CorpusTail::Doc(name, id) => {
-            let snap = match resolve(state, &live_ref(name)) {
-                Ok(s) => s,
-                Err(r) => return r,
-            };
-            let found = snap.index().documents().iter().position(|d| d.name == id);
-            match found {
-                None => error_envelope(
-                    404,
-                    "doc_not_found",
-                    format!("no document named '{id}' in corpus '{name}'"),
-                ),
-                Some(i) => {
-                    let d = &snap.index().documents()[i];
-                    Response::json(
-                        200,
-                        to_string(&obj(with_corpus(
-                            &snap,
-                            vec![
-                                ("doc", Value::from(i)),
-                                ("name", Value::from(d.name.as_str())),
-                                ("title", Value::from(d.title.as_str())),
-                                ("body", Value::from(d.body.as_str())),
-                            ],
-                        ))),
-                    )
-                }
-            }
+            let snap = live_snapshot(state, name)?;
+            let docs = snap.index().documents();
+            let i = docs
+                .iter()
+                .position(|d| d.name == id)
+                .ok_or_else(|| doc_not_found(name, id))?;
+            Ok(doc_response(&snap, i, &docs[i]))
         }
     }
 }
@@ -2256,32 +1393,17 @@ fn mutation_response(corpus: &Corpus, doc: &str, seq: u64, refresh: bool) -> Res
 
 /// `PUT /api/v1/corpora/{name}` (register / hot-swap a corpus) and
 /// `PUT /api/v1/corpora/{name}/docs/{id}` (upsert one document).
-fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
+fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Reply {
+    let tail = parse_corpus_tail(tail)?;
+    let body = json_body(req)?;
     match tail {
         CorpusTail::Corpus(name) => {
-            if name == DEFAULT_CORPUS {
-                return error_envelope(
-                    409,
-                    "corpus_protected",
-                    "the default corpus cannot be replaced or removed",
-                );
-            }
-            let parsed = match CorpusPutRequest::parse(&body) {
-                Ok(p) => p,
-                Err(errors) => return invalid_fields_response(errors),
-            };
+            protect_default(name)?;
+            let parsed = CorpusPutRequest::parse(&body).map_err(invalid_fields_response)?;
             let replaced = state.registry.get(name).is_some();
             let num_docs = parsed.docs.len();
             let corpus = state.register_corpus(name, parsed.docs);
-            Response::json(
+            Ok(Response::json(
                 if replaced { 200 } else { 201 },
                 to_string(&obj([
                     ("corpus", Value::from(name)),
@@ -2289,117 +1411,70 @@ fn corpora_put(state: &AppState, req: &Request, tail: &str) -> Response {
                     ("num_docs", Value::from(num_docs)),
                     ("replaced", Value::from(replaced)),
                 ])),
-            )
+            ))
         }
         CorpusTail::Doc(name, id) => {
-            let Some(corpus) = state.registry.get(name) else {
-                return corpus_not_found(name);
-            };
-            let parsed = match DocPutRequest::parse(&body) {
-                Ok(p) => p,
-                Err(errors) => return invalid_fields_response(errors),
-            };
-            let seq = corpus.stage(DeltaOp::Upsert(Document::new(
-                id,
-                parsed.title,
-                parsed.body,
-            )));
-            mutation_response(&corpus, id, seq, parsed.refresh)
+            let corpus = registered(state, name)?;
+            let parsed = DocPutRequest::parse(&body).map_err(invalid_fields_response)?;
+            let doc = Document::new(id, parsed.title, parsed.body);
+            let seq = corpus.stage(DeltaOp::Upsert(doc));
+            Ok(mutation_response(&corpus, id, seq, parsed.refresh))
         }
-        CorpusTail::Docs(_) => error_envelope(405, "method_not_allowed", "method not allowed"),
+        CorpusTail::Docs(_) => Err(method_not_allowed()),
     }
 }
 
 /// `POST /api/v1/corpora/{name}/docs` — add one strictly-new document.
-fn corpora_post(state: &AppState, req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
+fn corpora_post(state: &AppState, req: &Request, tail: &str) -> Reply {
+    let CorpusTail::Docs(name) = parse_corpus_tail(tail)? else {
+        return Err(method_not_allowed());
     };
-    let CorpusTail::Docs(name) = tail else {
-        return error_envelope(405, "method_not_allowed", "method not allowed");
-    };
-    let Some(corpus) = state.registry.get(name) else {
-        return corpus_not_found(name);
-    };
-    let body = match json_body(req) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    let parsed = match DocAddRequest::parse(&body) {
-        Ok(p) => p,
-        Err(errors) => return invalid_fields_response(errors),
-    };
+    let corpus = registered(state, name)?;
+    let parsed = parse_body(req, DocAddRequest::parse)?;
     let doc_name = parsed.doc.name.clone();
-    match corpus.stage_insert(parsed.doc) {
+    Ok(match corpus.stage_insert(parsed.doc) {
         Err(_) => error_envelope(
             409,
             "doc_exists",
             format!("a document named '{doc_name}' already exists in corpus '{name}'"),
         ),
         Ok(seq) => mutation_response(&corpus, &doc_name, seq, parsed.refresh),
-    }
+    })
 }
 
 /// `DELETE /api/v1/corpora/{name}` (remove a corpus) and
 /// `DELETE /api/v1/corpora/{name}/docs/{id}` (tombstone one document; the
 /// body is optional and may carry `{"refresh": true}`).
-fn corpora_delete(state: &AppState, req: &Request, tail: &str) -> Response {
-    let tail = match parse_corpus_tail(tail) {
-        Ok(t) => t,
-        Err(r) => return r,
-    };
-    match tail {
+fn corpora_delete(state: &AppState, req: &Request, tail: &str) -> Reply {
+    match parse_corpus_tail(tail)? {
         CorpusTail::Corpus(name) => {
-            if name == DEFAULT_CORPUS {
-                return error_envelope(
-                    409,
-                    "corpus_protected",
-                    "the default corpus cannot be replaced or removed",
-                );
-            }
-            let Some(corpus) = state.registry.get(name) else {
-                return corpus_not_found(name);
-            };
-            let generation = corpus.generation();
+            protect_default(name)?;
+            let generation = registered(state, name)?.generation();
             state.registry.remove(name);
-            Response::json(
+            Ok(Response::json(
                 200,
                 to_string(&obj([
                     ("corpus", Value::from(name)),
                     ("generation", Value::from(generation as usize)),
                     ("status", Value::from("removed")),
                 ])),
-            )
+            ))
         }
         CorpusTail::Doc(name, id) => {
-            let Some(corpus) = state.registry.get(name) else {
-                return corpus_not_found(name);
-            };
+            let corpus = registered(state, name)?;
             let refresh = match req.body_utf8() {
                 Some(text) if !text.trim().is_empty() => {
-                    let body = match json_body(req) {
-                        Ok(v) => v,
-                        Err(r) => return r,
-                    };
-                    match RefreshRequest::parse(&body) {
-                        Ok(p) => p.refresh,
-                        Err(errors) => return invalid_fields_response(errors),
-                    }
+                    parse_body(req, RefreshRequest::parse)?.refresh
                 }
                 _ => false,
             };
             if !corpus.doc_exists(id) {
-                return error_envelope(
-                    404,
-                    "doc_not_found",
-                    format!("no document named '{id}' in corpus '{name}'"),
-                );
+                return Err(doc_not_found(name, id));
             }
             let seq = corpus.stage(DeltaOp::Delete(id.to_string()));
-            mutation_response(&corpus, id, seq, refresh)
+            Ok(mutation_response(&corpus, id, seq, refresh))
         }
-        CorpusTail::Docs(_) => error_envelope(405, "method_not_allowed", "method not allowed"),
+        CorpusTail::Docs(_) => Err(method_not_allowed()),
     }
 }
 
@@ -2751,6 +1826,34 @@ mod tests {
         assert!(text.contains("credence_retrieval_shards_used_total"));
         assert!(text.contains("credence_ranking_cache_hits_total"));
         assert!(text.contains("credence_ranking_cache_misses_total"));
+        // The labels derive from the route table; their order fixes the
+        // order of the per-endpoint series in every scrape.
+        assert_eq!(
+            endpoint_labels(),
+            [
+                "ui",
+                "health",
+                "metrics",
+                "corpus",
+                "doc",
+                "rank",
+                "sentence_removal",
+                "query_augmentation",
+                "query_reduction",
+                "term_removal",
+                "feature_attribution",
+                "doc2vec_nearest",
+                "cosine_sampled",
+                "nearest_to_text",
+                "topics",
+                "snippet",
+                "rerank",
+                "jobs",
+                "corpora",
+                "api_index",
+                "other",
+            ]
+        );
     }
 
     #[test]
@@ -3138,7 +2241,7 @@ mod tests {
             })
         };
         // Every table row shows up canonically and as its deprecated alias.
-        for route in ROUTES {
+        for route in super::routes() {
             if route.versioned {
                 let canonical = find(route.method, &format!("{API_PREFIX}{}", route.path))
                     .unwrap_or_else(|| panic!("missing canonical row for {}", route.path));

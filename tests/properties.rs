@@ -1316,3 +1316,320 @@ prop! {
         worker.stop();
     }
 }
+
+// ---------------------------------------------------------------------------
+// Self-keying request parsers: the explanation-cache key of every family,
+// and parser totality over arbitrary bodies.
+// ---------------------------------------------------------------------------
+
+/// How a generated request field's value is drawn.
+#[derive(Clone, Copy, Debug)]
+enum FieldKind {
+    Text,
+    Int,
+    Doc,
+    Number,
+    Flag,
+    Name,
+}
+
+/// Every field the family with job name `job` reads, with its kind and its
+/// documented default (`None`: required, or absent means "unset").
+fn family_fields(job: &str) -> Vec<(&'static str, FieldKind, Option<credence_json::Value>)> {
+    use credence_json::Value;
+    use FieldKind::*;
+    let int = |n: f64| Some(Value::Number(n));
+    let mut fields = vec![("query", Text, None), ("k", Int, None), ("doc", Doc, None)];
+    match job {
+        "feature_attribution" => fields.extend([
+            ("samples", Int, int(256.0)),
+            ("seed", Int, int(42.0)),
+            ("top_m", Int, int(10.0)),
+            ("lambda", Number, int(0.001)),
+        ]),
+        "query-augmentation" => {
+            fields.extend([("n", Int, int(1.0)), ("threshold", Int, int(1.0))]);
+        }
+        _ => fields.push(("n", Int, int(1.0))),
+    }
+    fields.extend([
+        ("max_size", Int, int(4.0)),
+        ("max_candidates", Int, int(24.0)),
+        ("max_evals", Int, None),
+        ("eval_threads", Int, int(0.0)),
+        ("eval_parallel_threshold", Int, int(64.0)),
+        ("eval_exact", Flag, Some(Value::Bool(false))),
+        ("deadline_ms", Int, None),
+        ("explain_cache_bypass", Flag, Some(Value::Bool(false))),
+        ("corpus", Name, Some(Value::from("default"))),
+        ("generation", Int, None),
+    ]);
+    fields
+}
+
+/// A valid value of `kind`, drawn from small ranges so that collisions
+/// with the base request (and with defaults) happen often.
+fn field_value(rng: &mut StdRng, kind: FieldKind) -> credence_json::Value {
+    use credence_json::Value;
+    let small = |rng: &mut StdRng| rng.gen_range(0..6u32) as f64;
+    match kind {
+        FieldKind::Text => Value::String(
+            ["covid", "covid outbreak", "vaccine", "", "a\u{0}b", "\"q\""]
+                [rng.gen_range(0..6usize)]
+            .to_string(),
+        ),
+        FieldKind::Int if rng.gen_bool(0.2) => Value::Number(rng.gen_range(0..1u64 << 53) as f64),
+        FieldKind::Int => Value::Number(small(rng) * 8.0),
+        FieldKind::Doc => Value::Number(
+            [
+                small(rng),
+                u32::MAX as f64,
+                rng.gen_range(0..=u32::MAX as u64) as f64,
+            ][rng.gen_range(0..3usize)],
+        ),
+        FieldKind::Number => {
+            Value::Number([0.001, 0.0, 0.5, 2.0, 1e-3 + 1e-18][rng.gen_range(0..5usize)])
+        }
+        FieldKind::Flag => Value::Bool(rng.gen_bool(0.5)),
+        FieldKind::Name => {
+            Value::String(["default", "other", "t1"][rng.gen_range(0..3usize)].to_string())
+        }
+    }
+}
+
+/// One cache-key case: a family, a valid body for it (in a random field
+/// order), and one field set to a new valid value.
+#[derive(Clone, Debug)]
+struct KeyCase {
+    family: usize,
+    body: Vec<(&'static str, credence_json::Value)>,
+    field: usize,
+    value: credence_json::Value,
+}
+
+fn arb_key_case() -> Gen<KeyCase> {
+    Gen::new(|rng| {
+        let family = rng.gen_range(0..credence_server::families::FAMILIES.len());
+        let fields = family_fields(credence_server::families::FAMILIES[family].job);
+        let mut body = Vec::new();
+        for &(name, kind, _) in &fields {
+            // Required fields always, optional ones half the time.
+            if ["query", "k", "doc"].contains(&name) || rng.gen_bool(0.5) {
+                body.push((name, field_value(rng, kind)));
+            }
+        }
+        // Shuffle: the key must not depend on the order fields arrive in.
+        for i in (1..body.len()).rev() {
+            body.swap(i, rng.gen_range(0..=i));
+        }
+        let field = rng.gen_range(0..fields.len());
+        let value = field_value(rng, fields[field].1);
+        KeyCase {
+            family,
+            body,
+            field,
+            value,
+        }
+    })
+}
+
+/// JSON text for `pairs` in the given order, numbers in exponent notation
+/// when `exponents` (so `0.001` arrives as `1e-3`).
+fn json_text(pairs: &[(&str, credence_json::Value)], exponents: bool) -> String {
+    let fields: Vec<String> = pairs
+        .iter()
+        .map(|(name, value)| match value {
+            credence_json::Value::Number(n) if exponents => format!("{name:?}:{n:e}"),
+            _ => format!("{name:?}:{}", credence_json::to_string(value)),
+        })
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// The cache key of `text` under `family` (against corpus `default` at
+/// generation 0), or why it did not parse.
+fn cache_key_of(family: usize, text: &str) -> Result<String, String> {
+    let body = credence_json::parse(text).map_err(|e| e.to_string())?;
+    credence_server::families::FAMILIES[family]
+        .parse(&body)
+        .map(|request| request.cache_key("default", 0))
+        .map_err(|errors| format!("{errors:?}"))
+}
+
+prop! {
+    /// For every family: changing a field outside `UNKEYED_FIELDS` to a
+    /// different effective value changes the cache key; changing an
+    /// unkeyed field, spelling out defaults, reordering the body or writing
+    /// its numbers differently leaves the key equal.
+    fn cache_key_tracks_exactly_the_keyed_fields(case in arb_key_case()) {
+        // Only payload-invariant fields may leave the key.
+        prop_assert_eq!(
+            credence_server::families::UNKEYED_FIELDS,
+            [
+                "eval_threads",
+                "eval_parallel_threshold",
+                "eval_exact",
+                "deadline_ms",
+                "explain_cache_bypass",
+                "corpus",
+                "generation",
+            ]
+        );
+        let job = credence_server::families::FAMILIES[case.family].job;
+        let fields = family_fields(job);
+        let key = cache_key_of(case.family, &json_text(&case.body, false));
+        prop_assert!(key.is_ok(), "{}: valid body rejected: {:?}", job, key);
+        let key = key.unwrap();
+
+        // Reordered, with every number in exponent notation.
+        let mut reordered = case.body.clone();
+        reordered.reverse();
+        let respelled = cache_key_of(case.family, &json_text(&reordered, true));
+        prop_assert_eq!(respelled.as_ref(), Ok(&key), "{}: reordering changed the key", job);
+
+        // Every absent default spelled out.
+        let mut spelled = case.body.clone();
+        for (name, _, default) in &fields {
+            if let Some(default) = default {
+                if !spelled.iter().any(|(present, _)| present == name) {
+                    spelled.push((name, default.clone()));
+                }
+            }
+        }
+        let spelled_key = cache_key_of(case.family, &json_text(&spelled, false));
+        prop_assert_eq!(spelled_key.as_ref(), Ok(&key), "{}: defaults changed the key", job);
+
+        // One field set to a new value.
+        let (name, _, default) = &fields[case.field];
+        let before = case
+            .body
+            .iter()
+            .find(|(present, _)| present == name)
+            .map(|(_, value)| value.clone())
+            .or_else(|| default.clone());
+        let mut mutated: Vec<_> = case.body.iter().filter(|(n, _)| n != name).cloned().collect();
+        mutated.push((name, case.value.clone()));
+        let mutated_key = cache_key_of(case.family, &json_text(&mutated, false));
+        prop_assert!(mutated_key.is_ok(), "{}: valid body rejected: {:?}", job, mutated_key);
+        let mutated_key = mutated_key.unwrap();
+        let keyed = !credence_server::families::UNKEYED_FIELDS.contains(name);
+        if keyed && before.as_ref() != Some(&case.value) {
+            prop_assert!(mutated_key != key, "{}: changing '{}' kept the key", job, name);
+        } else {
+            prop_assert_eq!(&mutated_key, &key, "{}: changing '{}' changed the key", job, name);
+        }
+    }
+}
+
+/// Every key any request parser reads.
+const REQUEST_KEYS: &[&str] = &[
+    "query",
+    "k",
+    "doc",
+    "n",
+    "threshold",
+    "samples",
+    "seed",
+    "top_m",
+    "lambda",
+    "max_size",
+    "max_candidates",
+    "max_evals",
+    "eval_threads",
+    "eval_parallel_threshold",
+    "eval_exact",
+    "deadline_ms",
+    "explain_cache_bypass",
+    "corpus",
+    "generation",
+    "search_strategy",
+    "search_shards",
+    "partition_index",
+    "partition_count",
+    "num_topics",
+    "window",
+    "text",
+    "body",
+    "endpoint",
+    "request",
+    "docs",
+    "name",
+    "title",
+    "refresh",
+];
+
+/// An arbitrary request body: usually an object over the real field names
+/// with hostile values (boundary integers, wrong types, nested junk),
+/// sometimes any JSON value at all.
+fn gen_request_body(rng: &mut StdRng, depth: usize) -> credence_json::Value {
+    use credence_json::Value;
+    const EDGES: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        4294967295.0,
+        4294967296.0,
+        9007199254740993.0,
+        9223372036854775808.0,
+        18446744073709551615.0,
+        1e300,
+        -1e300,
+    ];
+    if rng.gen_bool(0.1) {
+        return gen_json(rng, 3);
+    }
+    let mut map = std::collections::BTreeMap::new();
+    for key in REQUEST_KEYS {
+        if !rng.gen_bool(0.35) {
+            continue;
+        }
+        let value = match (*key, rng.gen_range(0..4)) {
+            ("request", _) if depth > 0 => gen_request_body(rng, depth - 1),
+            ("docs", _) if depth > 0 => Value::Array(
+                (0..rng.gen_range(0..3))
+                    .map(|_| gen_request_body(rng, 0))
+                    .collect(),
+            ),
+            ("endpoint", 0 | 1) => {
+                let families = credence_server::families::FAMILIES;
+                Value::from(families[rng.gen_range(0..families.len())].job)
+            }
+            (_, 0) => Value::Number(EDGES[rng.gen_range(0..EDGES.len())]),
+            _ => gen_json(rng, 2),
+        };
+        map.insert(key.to_string(), value);
+    }
+    Value::Object(map)
+}
+
+prop! {
+    /// No request parser panics, whatever JSON value it is handed.
+    config(cases = 512);
+    fn request_parsers_never_panic(body in Gen::new(|rng| gen_request_body(rng, 1))) {
+        use credence_server::requests::*;
+        let _ = RankRequest::parse(body);
+        let _ = SentenceRemovalRequest::parse(body);
+        let _ = QueryAugmentationRequest::parse(body);
+        let _ = QueryReductionRequest::parse(body);
+        let _ = TermRemovalRequest::parse(body);
+        let _ = FeatureAttributionRequest::parse(body);
+        let _ = Doc2VecNearestRequest::parse(body);
+        let _ = CosineSampledRequest::parse(body);
+        let _ = TopicsRequest::parse(body);
+        let _ = SnippetRequest::parse(body);
+        let _ = NearestToTextRequest::parse(body);
+        let _ = RerankRequest::parse(body);
+        let _ = JobSubmitRequest::parse(body);
+        let _ = CorpusPutRequest::parse(body);
+        let _ = DocAddRequest::parse(body);
+        let _ = DocPutRequest::parse(body);
+        let _ = RefreshRequest::parse(body);
+        for family in credence_server::families::FAMILIES {
+            if let Ok(request) = family.parse(body) {
+                let _ = request.cache_key("default", 0);
+            }
+        }
+    }
+}

@@ -33,8 +33,17 @@ fn server() -> &'static TestServer {
 
 /// One raw HTTP round trip: status, header section, body text.
 fn raw_request(method: &str, path: &str, body: Option<&str>) -> (u16, String, String) {
-    let srv = server();
-    let mut conn = TcpStream::connect(srv.handle.addr()).unwrap();
+    raw_request_on(server().handle.addr(), method, path, body)
+}
+
+/// [`raw_request`] against the server at `addr`.
+fn raw_request_on(
+    addr: std::net::SocketAddr,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> (u16, String, String) {
+    let mut conn = TcpStream::connect(addr).unwrap();
     let raw = match body {
         None => format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
         Some(b) => format!(
@@ -300,4 +309,54 @@ fn metrics_exposition_over_http() {
     assert!(text.contains("credence_requests_total{endpoint=\"rank\",status=\"200\"}"));
     assert!(text.contains("credence_request_duration_seconds_bucket"));
     assert!(text.contains("credence_request_duration_quantile_seconds{quantile=\"0.95\"}"));
+}
+
+/// An absurd `eval_threads` once wrapped the evaluation batch size to zero:
+/// the search reported `complete` with nothing evaluated, and because the
+/// eval knobs are not part of the cache key, that empty payload was then
+/// served to the plain request too. Both must match the uncached default.
+#[test]
+fn huge_eval_threads_serve_the_default_payload() {
+    let state = AppState::leak(covid_demo_corpus().docs, EngineConfig::fast());
+    let handle = Server::bind("127.0.0.1:0", state).unwrap().spawn().unwrap();
+    let path = "/api/v1/explain/sentence-removal";
+    let post = |body: &str| {
+        let (status, _, body) = raw_request_on(handle.addr(), "POST", path, Some(body));
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    let huge = post(
+        r#"{"query":"covid outbreak","k":10,"doc":2,"n":1,"eval_threads":9223372036854775808}"#,
+    );
+    let plain = post(r#"{"query":"covid outbreak","k":10,"doc":2,"n":1}"#);
+    let uncached =
+        post(r#"{"query":"covid outbreak","k":10,"doc":2,"n":1,"explain_cache_bypass":true}"#);
+    assert_eq!(huge, uncached, "huge eval_threads changed the payload");
+    assert_eq!(plain, uncached, "the cache served a poisoned payload");
+    let v = parse(&uncached).unwrap();
+    assert!(v.get("candidates_evaluated").unwrap().as_u64().unwrap() > 0);
+    handle.stop();
+}
+
+/// Document ids are `u32`s: a larger `doc` is rejected instead of being
+/// truncated onto another document, on cached and uncached endpoints alike.
+#[test]
+fn out_of_range_doc_ids_are_rejected() {
+    for path in [
+        "/api/v1/explain/sentence-removal",
+        "/api/v1/explain/doc2vec-nearest",
+    ] {
+        let body = r#"{"query": "covid outbreak", "k": 10, "doc": 4294967298}"#;
+        let (status, v) = request("POST", path, Some(body));
+        assert_eq!(status, 400, "{path}");
+        let error = v.get("error").unwrap();
+        assert_eq!(error.get("code").unwrap().as_str(), Some("invalid_field"));
+        assert_eq!(error.get("field").unwrap().as_str(), Some("doc"), "{path}");
+    }
+    let (status, _) = request(
+        "POST",
+        "/api/v1/explain/sentence-removal",
+        Some(r#"{"query": "covid outbreak", "k": 10, "doc": 4294967295}"#),
+    );
+    assert_eq!(status, 404, "the largest u32 id is well-formed but absent");
 }
