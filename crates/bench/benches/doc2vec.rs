@@ -7,19 +7,7 @@ use credence_embed::{Doc2Vec, Doc2VecConfig};
 
 fn sequences(num_docs: usize) -> (Vec<Vec<usize>>, usize) {
     let (_, index) = synth_index(num_docs, 7);
-    let analyzer = index.analyzer();
-    let seqs = index
-        .documents()
-        .iter()
-        .map(|d| {
-            analyzer
-                .analyze(&d.body)
-                .iter()
-                .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-                .collect()
-        })
-        .collect();
-    (seqs, index.vocabulary().len())
+    (index.token_sequences(), index.vocabulary().len())
 }
 
 fn bench_train(c: &mut Criterion) {

@@ -38,21 +38,8 @@ fn bench_doc2vec_nearest(c: &mut Criterion) {
     let setup = DemoSetup::build();
     let ranker = setup.ranker();
     let fake = DocId(setup.demo.fake_news as u32);
-    let analyzer = setup.index.analyzer();
-    let seqs: Vec<Vec<usize>> = setup
-        .index
-        .documents()
-        .iter()
-        .map(|d| {
-            analyzer
-                .analyze(&d.body)
-                .iter()
-                .filter_map(|t| setup.index.vocabulary().id(t).map(|x| x as usize))
-                .collect()
-        })
-        .collect();
     let model = Doc2Vec::train(
-        &seqs,
+        &setup.index.token_sequences(),
         setup.index.vocabulary().len(),
         &Doc2VecConfig {
             dim: 32,

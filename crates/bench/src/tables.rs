@@ -23,20 +23,8 @@ use crate::{ms, print_table, synth_index, timed, DemoSetup};
 
 /// Train a doc2vec model matching `index`, with cheap parameters.
 fn train_doc2vec(index: &InvertedIndex) -> Doc2Vec {
-    let analyzer = index.analyzer();
-    let seqs: Vec<Vec<usize>> = index
-        .documents()
-        .iter()
-        .map(|d| {
-            analyzer
-                .analyze(&d.body)
-                .iter()
-                .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-                .collect()
-        })
-        .collect();
     Doc2Vec::train(
-        &seqs,
+        &index.token_sequences(),
         index.vocabulary().len(),
         &Doc2VecConfig {
             dim: 32,

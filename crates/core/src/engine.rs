@@ -7,9 +7,14 @@
 //! that mirror the REST endpoints (`credence-server` exposes them over
 //! HTTP).
 //!
-//! The engine trains the Doc2Vec space once at construction (it is
-//! query-independent) and fits LDA per request over the currently ranked
-//! top-k documents, exactly as the Browse-Topics modal does.
+//! Construction is cheap: it trains nothing. The Doc2Vec space is
+//! query-independent but read only by the Doc2Vec-nearest explainer and
+//! [`CredenceEngine::nearest_to_text`], so the engine trains it on the
+//! first call that needs it and keeps it for the engine's lifetime
+//! ([`CredenceEngine::doc2vec`]). Training is seeded and single-threaded,
+//! so a model trained on first use is bit-identical to one trained up
+//! front. LDA is fitted per request over the currently ranked top-k
+//! documents, exactly as the Browse-Topics modal does.
 
 use credence_embed::{Doc2Vec, Doc2VecConfig};
 use credence_index::{DocId, TopKOptions};
@@ -111,8 +116,8 @@ pub struct RankedDoc {
     pub title: String,
 }
 
-/// Counters accumulated by the engine's retrieval path, snapshotted for
-/// the server's `/metrics` endpoint.
+/// Counters accumulated by the engine's retrieval path (and its one-off
+/// Doc2Vec training), snapshotted for the server's `/metrics` endpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetrievalStats {
     /// Documents actually scored by the top-k engine.
@@ -134,6 +139,8 @@ pub struct RetrievalStats {
     pub cache_size: u64,
     /// Rankings evicted from the cache to make room for newer entries.
     pub cache_evictions: u64,
+    /// Doc2Vec models trained (at most one per engine, on first use).
+    pub doc2vec_trainings: u64,
 }
 
 /// Sentinel for "no node" in the LRU's intrusive links.
@@ -313,40 +320,42 @@ struct RetrievalCounters {
     shards_used: std::sync::atomic::AtomicU64,
     blocks_decoded: std::sync::atomic::AtomicU64,
     blocks_skipped: std::sync::atomic::AtomicU64,
+    doc2vec_trainings: std::sync::atomic::AtomicU64,
 }
 
 /// The CREDENCE backend over a black-box ranker.
 pub struct CredenceEngine<'a> {
     ranker: &'a dyn Ranker,
-    doc2vec: Doc2Vec,
+    /// Trained on first use by [`Self::doc2vec`].
+    doc2vec: std::sync::OnceLock<Doc2Vec>,
     config: EngineConfig,
+    /// Threads for the exhaustive ranking fallback: fixed per engine
+    /// because the corpus is, and `available_parallelism` costs a cgroup
+    /// walk per call.
+    fallback_threads: usize,
     cache: RankingCache,
     counters: RetrievalCounters,
     replay: crate::evaluator::ReplayMemo,
 }
 
 impl<'a> CredenceEngine<'a> {
-    /// Build the engine: trains the corpus-level Doc2Vec space.
+    /// Build the engine over `ranker`. Trains nothing: the Doc2Vec space is
+    /// trained by the first call that reads it ([`Self::doc2vec`]).
     pub fn new(ranker: &'a dyn Ranker, config: EngineConfig) -> Self {
-        let index = ranker.index();
-        let analyzer = index.analyzer();
-        let sequences: Vec<Vec<usize>> = index
-            .documents()
-            .iter()
-            .map(|d| {
-                analyzer
-                    .analyze(&d.body)
-                    .iter()
-                    .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-                    .collect()
-            })
-            .collect();
-        let doc2vec = Doc2Vec::train(&sequences, index.vocabulary().len(), &config.doc2vec);
+        let threshold = config.parallel_threshold;
+        let fallback_threads = if threshold > 0 && ranker.index().num_docs() >= threshold {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        } else {
+            1
+        };
         let cache = RankingCache::new(config.ranking_cache);
         Self {
             ranker,
-            doc2vec,
+            doc2vec: std::sync::OnceLock::new(),
             config,
+            fallback_threads,
             cache,
             counters: RetrievalCounters::default(),
             replay: crate::evaluator::ReplayMemo::new(REPLAY_MEMO_CAPACITY),
@@ -385,16 +394,7 @@ impl<'a> CredenceEngine<'a> {
             None => std::borrow::Cow::Borrowed(query),
         };
         self.cache.get_or_insert(&key, || {
-            let n = self.ranker.index().num_docs();
-            let fallback_threads =
-                if self.config.parallel_threshold > 0 && n >= self.config.parallel_threshold {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                } else {
-                    1
-                };
-            let (list, stats) = rank_corpus_with(self.ranker, query, opts, fallback_threads);
+            let (list, stats) = rank_corpus_with(self.ranker, query, opts, self.fallback_threads);
             self.counters
                 .docs_scored
                 .fetch_add(stats.docs_scored, Relaxed);
@@ -432,6 +432,7 @@ impl<'a> CredenceEngine<'a> {
             cache_misses: self.cache.misses.load(Relaxed),
             cache_size: self.cache.len() as u64,
             cache_evictions: self.cache.evictions.load(Relaxed),
+            doc2vec_trainings: self.counters.doc2vec_trainings.load(Relaxed),
         }
     }
 
@@ -450,9 +451,25 @@ impl<'a> CredenceEngine<'a> {
         self.ranker
     }
 
-    /// The trained Doc2Vec model (exposed for diagnostics and benches).
+    /// The corpus's Doc2Vec model, trained on the first call from the
+    /// ranker's index and `config.doc2vec`.
+    ///
+    /// Concurrent first callers block on the cell and exactly one of them
+    /// trains; no other lock is held meanwhile. A panic during training
+    /// leaves the cell empty, so the next caller retries.
     pub fn doc2vec(&self) -> &Doc2Vec {
-        &self.doc2vec
+        self.doc2vec.get_or_init(|| {
+            let index = self.ranker.index();
+            let model = Doc2Vec::train(
+                &index.token_sequences(),
+                index.vocabulary().len(),
+                &self.config.doc2vec,
+            );
+            self.counters
+                .doc2vec_trainings
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            model
+        })
     }
 
     /// The engine configuration.
@@ -600,7 +617,7 @@ impl<'a> CredenceEngine<'a> {
         doc: DocId,
         n: usize,
     ) -> Result<Vec<InstanceExplanation>, ExplainError> {
-        doc2vec_nearest(self.ranker, &self.doc2vec, query, k, doc, n)
+        doc2vec_nearest(self.ranker, self.doc2vec(), query, k, doc, n)
     }
 
     /// `POST /explain/cosine-sampled` (§II-E, variant 2). `samples`
@@ -675,7 +692,8 @@ impl<'a> CredenceEngine<'a> {
             .iter()
             .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
             .collect();
-        let inferred = self.doc2vec.infer(&words);
+        let model = self.doc2vec();
+        let inferred = model.infer(&words);
         let (excluded, ranking): (
             std::collections::HashSet<DocId>,
             Option<std::sync::Arc<RankedList>>,
@@ -688,8 +706,8 @@ impl<'a> CredenceEngine<'a> {
         };
         let neighbors = credence_embed::nearest_neighbors_quantized(
             &inferred,
-            self.doc2vec.quantized(),
-            |d| self.doc2vec.doc_vector(d),
+            model.quantized(),
+            |d| model.doc_vector(d),
             (0..index.num_docs()).filter(|&d| !excluded.contains(&DocId(d as u32))),
             n,
         );
@@ -1137,6 +1155,62 @@ mod tests {
                     assert_eq!(a.score.to_bits(), b.score.to_bits(), "{strategy:?}");
                 }
             }
+        });
+    }
+
+    #[test]
+    fn doc2vec_trained_on_first_use_matches_training_up_front() {
+        let idx = InvertedIndex::build(corpus(), Analyzer::english());
+        let ranker = Bm25Ranker::new(&idx, Bm25Params::default());
+        let config = EngineConfig::fast();
+        let engine = CredenceEngine::new(&ranker, config.clone());
+        engine.rank("covid outbreak", 3);
+        engine
+            .cosine_sampled("covid outbreak", 3, DocId(2), 1, Some(10))
+            .unwrap();
+        assert_eq!(
+            engine.retrieval_stats().doc2vec_trainings,
+            0,
+            "construction, ranking and cosine sampling train nothing"
+        );
+
+        let lazy = engine.doc2vec();
+        let eager = Doc2Vec::train(
+            &idx.token_sequences(),
+            idx.vocabulary().len(),
+            &config.doc2vec,
+        );
+        assert_eq!(lazy.num_docs(), eager.num_docs());
+        for d in 0..eager.num_docs() {
+            let bits = |m: &Doc2Vec| {
+                m.doc_vector(d)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(lazy), bits(&eager), "doc {d}");
+        }
+        engine.nearest_to_text("covid outbreak", 2, None);
+        assert_eq!(engine.retrieval_stats().doc2vec_trainings, 1);
+    }
+
+    #[test]
+    fn concurrent_first_callers_train_once() {
+        with_engine(|e| {
+            let barrier = std::sync::Barrier::new(4);
+            let results: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            e.doc2vec_nearest("covid outbreak", 3, DocId(2), 2).unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
+            assert_eq!(e.retrieval_stats().doc2vec_trainings, 1);
         });
     }
 

@@ -212,20 +212,8 @@ mod tests {
     }
 
     fn train(idx: &InvertedIndex) -> Doc2Vec {
-        let analyzer = idx.analyzer();
-        let seqs: Vec<Vec<usize>> = idx
-            .documents()
-            .iter()
-            .map(|d| {
-                analyzer
-                    .analyze(&d.body)
-                    .iter()
-                    .filter_map(|t| idx.vocabulary().id(t).map(|x| x as usize))
-                    .collect()
-            })
-            .collect();
         Doc2Vec::train(
-            &seqs,
+            &idx.token_sequences(),
             idx.vocabulary().len(),
             &Doc2VecConfig {
                 dim: 24,

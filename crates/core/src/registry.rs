@@ -3,10 +3,12 @@
 //! Multi-tenant serving: one process, many corpora. Each [`Corpus`] wraps a
 //! [`GenerationIndex`] (immutable segments + delta log, `credence_index`)
 //! and publishes a [`CorpusSnapshot`] per generation — the segment, a ranker
-//! over it, and a fully built [`CredenceEngine`] (Doc2Vec space, ranking
-//! cache). Requests resolve a snapshot once and then run entirely against
-//! immutable state, so every ranking and explanation is bit-reproducible
-//! against the generation it names, even while writes advance the corpus.
+//! over it, and a [`CredenceEngine`] shell (ranking cache, replay memo).
+//! A publish trains no Doc2Vec space: the engine trains one from its own
+//! generation's documents on the first request that reads it. Requests
+//! resolve a snapshot once and then run entirely against immutable state,
+//! so every ranking and explanation is bit-reproducible against the
+//! generation it names, even while writes advance the corpus.
 //!
 //! Locking discipline, from the outside in:
 //!
@@ -18,8 +20,8 @@
 //! - Retired generations live in a `Weak` history map: a generation stays
 //!   resolvable exactly as long as someone (an in-flight budget, a queued
 //!   job) still pins its `Arc`. When the last pin drops, the segment, the
-//!   engine, and its Doc2Vec space are reclaimed and the generation answers
-//!   `GenerationGone`.
+//!   engine, and its Doc2Vec space (if one was trained) are reclaimed and
+//!   the generation answers `GenerationGone`.
 //!
 //! The snapshot cell is self-referential (engine borrows ranker borrows
 //! segment) and uses two documented `unsafe` lifetime extensions; see
@@ -179,6 +181,7 @@ fn add_stats(total: &mut RetrievalStats, part: RetrievalStats) {
     total.cache_misses += part.cache_misses;
     total.cache_size += part.cache_size;
     total.cache_evictions += part.cache_evictions;
+    total.doc2vec_trainings += part.doc2vec_trainings;
 }
 
 /// Summary row for listings and metrics.
@@ -194,6 +197,9 @@ pub struct CorpusInfo {
     pub pending_ops: usize,
     /// Generations published by merges (excludes generation 0).
     pub merges: u64,
+    /// Doc2Vec models trained over all of the corpus's generations
+    /// (monotone: retired generations fold in through the stats sink).
+    pub doc2vec_trainings: u64,
 }
 
 /// Seq tickets published at the snapshot level.
@@ -417,6 +423,7 @@ impl Corpus {
             num_docs: snapshot.num_docs(),
             pending_ops: self.gen_index.pending_ops(),
             merges: self.gen_index.merges(),
+            doc2vec_trainings: self.retrieval_stats().doc2vec_trainings,
         }
     }
 
@@ -702,6 +709,61 @@ mod tests {
             after.cache_misses >= before.cache_misses,
             "counters must not reset on swap ({before:?} -> {after:?})"
         );
+        registry.shutdown_all();
+    }
+
+    #[test]
+    fn publishing_trains_nothing_and_trainings_stay_monotone() {
+        let registry = registry();
+        let corpus = registry.get("default").unwrap();
+        let trainings = || corpus.info().doc2vec_trainings;
+        assert_eq!(trainings(), 0, "registering trains nothing");
+        corpus.snapshot().engine().doc2vec();
+        assert_eq!(trainings(), 1);
+
+        // The refresh path: stage, then wait for the publish.
+        let ticket = corpus.stage(DeltaOp::Delete("n2".into()));
+        assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
+        assert_eq!(corpus.generation(), 1);
+        assert_eq!(
+            trainings(),
+            1,
+            "the publish trained nothing and the retired count survived"
+        );
+        corpus.snapshot().engine().doc2vec();
+        assert_eq!(trainings(), 2, "the new generation trains on first use");
+        registry.shutdown_all();
+    }
+
+    #[test]
+    fn pinned_generation_trains_on_its_own_documents() {
+        let registry = registry();
+        let corpus = registry.get("default").unwrap();
+        let pinned = corpus.snapshot();
+        let ticket = corpus.stage(DeltaOp::Upsert(doc(
+            "n4",
+            "covid vaccines arrive at every clinic this week",
+        )));
+        assert!(corpus.wait_for_seq(ticket, Duration::from_secs(10)));
+        assert_eq!(corpus.snapshot().num_docs(), 4);
+
+        let model = pinned.engine().doc2vec();
+        let index = pinned.index();
+        let expected = credence_embed::Doc2Vec::train(
+            &index.token_sequences(),
+            index.vocabulary().len(),
+            &EngineConfig::fast().doc2vec,
+        );
+        assert_eq!(model.num_docs(), 3, "generation 0's documents");
+        for d in 0..3 {
+            let bits = |m: &credence_embed::Doc2Vec| {
+                m.doc_vector(d)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(model), bits(&expected), "doc {d}");
+        }
         registry.shutdown_all();
     }
 

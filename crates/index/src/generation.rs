@@ -21,7 +21,9 @@
 //!   strategy, replay scorer, and persisted artifact works unchanged), and
 //!   per-generation stats come for free. Corpora here are explanation
 //!   workloads (thousands of documents), not web-scale shards; rebuild cost
-//!   is milliseconds and happens off the request path.
+//!   is milliseconds. It runs on the merge thread, but it is not free for
+//!   writers: a writer that waits for its generation (`wait_for_seq`, the
+//!   REST layer's `refresh: true`) waits for the rebuild too.
 //!
 //! Staging returns a *sequence ticket*. "Read your own write" is
 //! [`GenerationIndex::wait_for_seq`]: block until a published generation

@@ -288,6 +288,23 @@ impl InvertedIndex {
         &self.docs
     }
 
+    /// Every document body as its sequence of term ids, in `DocId` order:
+    /// the body run through the index's analyzer, each token mapped
+    /// through its vocabulary. This is the training input of the
+    /// embedding models (Doc2Vec, word vectors).
+    pub fn token_sequences(&self) -> Vec<Vec<usize>> {
+        self.docs
+            .iter()
+            .map(|d| {
+                self.analyzer
+                    .analyze(&d.body)
+                    .iter()
+                    .filter_map(|t| self.vocab.id(t).map(|id| id as usize))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Fetch a document by id.
     pub fn document(&self, id: DocId) -> Option<&Document> {
         self.docs.get(id.index())
@@ -427,6 +444,22 @@ mod tests {
         assert_eq!(idx.doc_freq_str("covid"), 2);
         assert_eq!(idx.doc_freq_str("citi"), 3);
         assert_eq!(idx.doc_freq_str("nonexistent"), 0);
+    }
+
+    #[test]
+    fn token_sequences_keep_document_and_token_order() {
+        let idx = small_index();
+        let id = |t: &str| idx.vocabulary().id(t).unwrap() as usize;
+        let seqs = idx.token_sequences();
+        assert_eq!(seqs.len(), 3);
+        // "covid outbreak spreads in the city" -> covid outbreak spread citi
+        assert_eq!(
+            seqs[0],
+            [id("covid"), id("outbreak"), id("spread"), id("citi")]
+        );
+        for (d, seq) in seqs.iter().enumerate() {
+            assert_eq!(seq.len() as u32, idx.doc_len(DocId(d as u32)));
+        }
     }
 
     #[test]

@@ -71,19 +71,11 @@ impl<'a> NeuralSimRanker<'a> {
             (0.0..=1.0).contains(&config.alpha),
             "alpha must lie in [0, 1]"
         );
-        let analyzer = index.analyzer();
-        let sequences: Vec<Vec<usize>> = index
-            .documents()
-            .iter()
-            .map(|d| {
-                analyzer
-                    .analyze(&d.body)
-                    .iter()
-                    .filter_map(|t| index.vocabulary().id(t).map(|id| id as usize))
-                    .collect()
-            })
-            .collect();
-        let embeddings = Word2Vec::train(&sequences, index.vocabulary().len(), &config.embedding);
+        let embeddings = Word2Vec::train(
+            &index.token_sequences(),
+            index.vocabulary().len(),
+            &config.embedding,
+        );
         let dim = embeddings.dim();
         let mut this = Self {
             index,

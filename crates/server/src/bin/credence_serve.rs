@@ -215,7 +215,7 @@ fn main() -> ExitCode {
         },
     };
 
-    eprintln!("indexing {} documents and training doc2vec...", docs.len());
+    eprintln!("indexing {} documents...", docs.len());
     let config = EngineConfig {
         eval,
         retrieval,

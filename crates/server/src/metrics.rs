@@ -643,6 +643,7 @@ mod tests {
             cache_misses: 2,
             cache_size: 2,
             cache_evictions: 1,
+            doc2vec_trainings: 0,
         };
         m.record_retrieval(stats);
         m.record_retrieval(stats); // idempotent: stores, not adds

@@ -779,14 +779,15 @@ fn render_explain_cache_metrics(out: &mut String, cache: &ExplainCache) {
 
 /// Append the `credence_corpus_*` families to a `/metrics` scrape: the
 /// registry size plus per-corpus generation, doc count, staged-op backlog,
-/// and merge totals. Rendered from live registry state on every scrape, so
-/// removed corpora vanish instead of lingering as stale label sets.
+/// merge totals and Doc2Vec trainings. Rendered from live registry state
+/// on every scrape, so removed corpora vanish instead of lingering as
+/// stale label sets.
 fn render_corpus_metrics(out: &mut String, infos: &[CorpusInfo]) {
     use std::fmt::Write;
     let _ = writeln!(out, "# HELP credence_corpus_count Registered corpora.");
     let _ = writeln!(out, "# TYPE credence_corpus_count gauge");
     let _ = writeln!(out, "credence_corpus_count {}", infos.len());
-    let families: [(&str, &str, &str, fn(&CorpusInfo) -> u64); 4] = [
+    let families: [(&str, &str, &str, fn(&CorpusInfo) -> u64); 5] = [
         (
             "credence_corpus_generation",
             "gauge",
@@ -810,6 +811,12 @@ fn render_corpus_metrics(out: &mut String, infos: &[CorpusInfo]) {
             "counter",
             "Generations published by merges.",
             |i| i.merges,
+        ),
+        (
+            "credence_corpus_doc2vec_trainings_total",
+            "counter",
+            "Doc2Vec models trained, on first use per generation.",
+            |i| i.doc2vec_trainings,
         ),
     ];
     for (name, kind, help, value) in families {
@@ -1826,6 +1833,8 @@ mod tests {
         assert!(text.contains("credence_retrieval_shards_used_total"));
         assert!(text.contains("credence_ranking_cache_hits_total"));
         assert!(text.contains("credence_ranking_cache_misses_total"));
+        assert!(text.contains("# TYPE credence_corpus_doc2vec_trainings_total counter"));
+        assert!(text.contains("credence_corpus_doc2vec_trainings_total{corpus=\"default\"}"));
         // The labels derive from the route table; their order fixes the
         // order of the per-endpoint series in every scrape.
         assert_eq!(

@@ -8,7 +8,9 @@
 #   * a queued job pinned at generation G completes against G even after
 #     the document it explains is deleted from the live corpus,
 #   * an unpinned retired generation answers 410 generation_gone,
-#   * /metrics exports the credence_corpus_* families per corpus.
+#   * /metrics exports the credence_corpus_* families per corpus,
+#   * a publish trains no Doc2Vec model; the first doc2vec-nearest request
+#     on the new generation trains it once and later ones reuse it.
 #
 # Usage: ./scripts/corpus_smoke.sh   (expects target/release/credence-serve)
 
@@ -162,6 +164,33 @@ for SERIES in \
         fail "/metrics missing $SERIES" "$METRICS"
 done
 echo "corpus_smoke: /metrics exports the credence_corpus_* families"
+
+# --- Doc2Vec is trained on first use, not on publish ------------------------
+trainings() {
+    curl -sf "$BASE/metrics" |
+        sed -n 's/^credence_corpus_doc2vec_trainings_total{corpus="newsroom"} //p'
+}
+T0=$(trainings)
+[ -n "$T0" ] || fail "/metrics has no newsroom doc2vec trainings series" "$(curl -sf "$BASE/metrics")"
+PUTDOC=$(curl -sf -X PUT "$BASE/api/v1/corpora/newsroom/docs/pad-1" \
+    -d '{"body": "covid outbreak report number one, now revised", "refresh": true}')
+echo "$PUTDOC" | grep -q '"status":"applied"' || fail "refresh PUT not applied" "$PUTDOC"
+T1=$(trainings)
+[ "$T1" = "$T0" ] || fail "refresh PUT moved doc2vec trainings $T0 -> $T1" "$PUTDOC"
+RANK=$(curl -sf "$BASE/api/v1/rank" \
+    -d '{"query": "covid outbreak", "k": 1, "corpus": "newsroom"}')
+TOP=$(echo "$RANK" | sed -n 's/.*"doc":\([0-9]*\).*/\1/p')
+[ -n "$TOP" ] || fail "rank returned no top doc" "$RANK"
+D2V_REQ="{\"query\": \"covid outbreak\", \"k\": 1, \"doc\": $TOP, \"n\": 2, \"corpus\": \"newsroom\"}"
+D2V=$(curl -sf "$BASE/api/v1/explain/doc2vec-nearest" -d "$D2V_REQ")
+echo "$D2V" | grep -q '"corpus":"newsroom"' || fail "doc2vec-nearest failed" "$D2V"
+T2=$(trainings)
+[ "$T2" -eq $((T0 + 1)) ] || fail "first doc2vec-nearest: trainings $T0 -> $T2, want +1" "$D2V"
+D2V_AGAIN=$(curl -sf "$BASE/api/v1/explain/doc2vec-nearest" -d "$D2V_REQ")
+[ "$D2V_AGAIN" = "$D2V" ] || fail "repeat doc2vec-nearest differs" "$D2V_AGAIN"
+T3=$(trainings)
+[ "$T3" = "$T2" ] || fail "second doc2vec-nearest retrained ($T2 -> $T3)" "$D2V_AGAIN"
+echo "corpus_smoke: publish trained nothing; first doc2vec-nearest trained once ($T0 -> $T2)"
 
 # --- removal ----------------------------------------------------------------
 DEL=$(curl -sf -X DELETE "$BASE/api/v1/corpora/newsroom")

@@ -26,19 +26,7 @@ fn synth(seed: u64) -> SyntheticCorpus {
 /// Token-id sequences for embedding training, via the built index's own
 /// analyzer and vocabulary.
 fn sequences(index: &InvertedIndex) -> (Vec<Vec<usize>>, usize) {
-    let analyzer = index.analyzer();
-    let seqs = index
-        .documents()
-        .iter()
-        .map(|d| {
-            analyzer
-                .analyze(&d.body)
-                .iter()
-                .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-                .collect()
-        })
-        .collect();
-    (seqs, index.vocabulary().len())
+    (index.token_sequences(), index.vocabulary().len())
 }
 
 #[test]

@@ -169,20 +169,8 @@ fn persisted_demo_index_supports_the_full_pipeline() {
 #[test]
 fn pvdm_also_separates_the_near_duplicate() {
     let (index, demo) = setup();
-    let analyzer = index.analyzer();
-    let seqs: Vec<Vec<usize>> = index
-        .documents()
-        .iter()
-        .map(|d| {
-            analyzer
-                .analyze(&d.body)
-                .iter()
-                .filter_map(|t| index.vocabulary().id(t).map(|x| x as usize))
-                .collect()
-        })
-        .collect();
     let model = PvDm::train(
-        &seqs,
+        &index.token_sequences(),
         index.vocabulary().len(),
         &PvDmConfig {
             dim: 24,
